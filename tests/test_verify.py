@@ -1,7 +1,11 @@
 """Tests for the verification suites, the power scan, and growth diagnostics."""
 
+import math
+import os
+
 import pytest
 
+from berndenom import verify
 from berndenom.arith import digit_sum, frac_sum, primes_up_to
 from berndenom.bernoulli import bernoulli_poly_no_constant, poly_denominator
 from berndenom.verify import (
@@ -126,7 +130,9 @@ def test_binomial_valuations_pass_small_range():
 
 
 @pytest.mark.parametrize("suite", ["main", "bound", "squarefree", "binom"])
-def test_run_suite_independent_of_jobs(suite):
+def test_run_suite_independent_of_jobs(suite, monkeypatch):
+    # three shards on any host, since run_suite clamps jobs to the CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     serial = run_suite(suite, 40, jobs=1)
     sharded = run_suite(suite, 40, jobs=3)
     assert serial.cases_total == sharded.cases_total
@@ -142,6 +148,20 @@ def test_run_suite_validates_arguments():
         run_suite("main", 0)
     with pytest.raises(ValueError):
         run_suite("main", 10, jobs=0)
+
+
+def test_run_suite_clamps_jobs_to_cpu_count(monkeypatch):
+    # with one CPU no pool may start, however many jobs are asked for
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    clamped = run_suite("main", 10, jobs=10**6)
+    serial = run_suite("main", 10, jobs=1)
+    assert clamped.cases_total == serial.cases_total
+    assert clamped.failures == serial.failures
+    assert clamped.range_checked == serial.range_checked
 
 
 # --- power scan -----------------------------------------------------------------------
@@ -253,6 +273,9 @@ def test_stewart_bound_domain():
         stewart_bound(25, 1.0)
     with pytest.raises(ValueError):
         stewart_bound(100, 0.0)
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            stewart_bound(100, c)
 
 
 def test_stewart_bound_monotone_in_n():
