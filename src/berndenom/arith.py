@@ -172,11 +172,7 @@ def _ord_abs(n: int, p: int) -> int:
 
 
 def ord_factorial(n: int, p: int) -> int:
-    """Exponent of the prime p in n!, as the sum of floor(n / p^nu).
-
-    The digit-sum form (n - digit_sum(n, p)) / (p - 1) counts the same thing
-    and is asserted in debug mode.
-    """
+    """Exponent of the prime p in n!, as the sum of floor(n / p^nu)."""
     ensure_prime(p)
     _check_natural(n)
     total = 0
@@ -184,21 +180,15 @@ def ord_factorial(n: int, p: int) -> int:
     while q:
         q //= p
         total += q
-    assert total * (p - 1) == n - digit_sum(n, p)
     return total
 
 
 def frac_sum(n: int, p: int) -> Fraction:
     """Exact sum of the fractional parts of n/p^nu over all nu >= 1.
 
-    Computed as n/(p-1) - ord_factorial(n, p); the digit-sum form and the
-    split geometric form are asserted equal in debug mode.
+    Computed as n/(p-1) - ord_factorial(n, p).
     """
-    whole = ord_factorial(n, p)
-    value = Fraction(n, p - 1) - whole
-    assert value == frac_sum_digit(n, p)
-    assert value == frac_sum_direct(n, p)
-    return value
+    return Fraction(n, p - 1) - ord_factorial(n, p)
 
 
 def frac_sum_digit(n: int, p: int) -> Fraction:

@@ -70,43 +70,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     denom.add_argument("n", type=int)
     denom.add_argument("--method", choices=("formula", "oracle", "both"), default="both")
-    denom.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-    denom.add_argument("--output", metavar="PATH", help="write the report to PATH instead of stdout")
 
     frac = sub.add_parser("frac", help="exact fractional-part sum of n/p^nu over nu >= 1")
     frac.add_argument("n", type=int)
     frac.add_argument("p", type=int)
-    frac.add_argument("--format", choices=("json", "plain"), default="json")
-    frac.add_argument("--output", metavar="PATH")
 
     verify = sub.add_parser("verify", help="run exhaustive verification suites")
     verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     verify.add_argument("--max-n", type=int, default=300, dest="max_n")
     verify.add_argument("--jobs", type=int, default=None, help="parallel shards (default: cpu count)")
-    verify.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-    verify.add_argument("--output", metavar="PATH")
 
     scan = sub.add_parser("scan", help="minimal exponents k with digit_sum(n^k, p) >= p")
     scan.add_argument("n", type=int)
     scan.add_argument("--primes", required=True, help="comma-separated primes, e.g. 2,3,5,7")
     scan.add_argument("--k-cap", type=int, default=None, dest="k_cap")
-    scan.add_argument("--format", choices=("json", "plain"), default="json")
-    scan.add_argument("--output", metavar="PATH")
 
     bern = sub.add_parser("bernoulli", help="exact Bernoulli numbers B_0..B_N")
     bern.add_argument("--max", type=int, required=True, dest="max_index")
     bern.add_argument("--cap", type=int, default=None, help="table size refusal threshold")
-    bern.add_argument("--format", choices=("json", "csv"), default="json")
-    bern.add_argument("--output", metavar="PATH")
 
     stew = sub.add_parser(
         "stewart", help="evaluate log log n / (log log log n + c) - 1 (approximate)"
     )
     stew.add_argument("n", type=int)
     stew.add_argument("c", type=float)
-    stew.add_argument("--format", choices=("json", "plain"), default="json")
-    stew.add_argument("--output", metavar="PATH")
 
+    for name, command in sub.choices.items():
+        command.add_argument("--format", choices=("json", *_RENDERERS[name]), default="json")
+        command.add_argument(
+            "--output", metavar="PATH", help="write the report to PATH instead of stdout"
+        )
     return parser
 
 
@@ -255,97 +248,94 @@ _HANDLERS = {
 }
 
 
-def _render_csv(record: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    command = record["command"]
-    result = record["result"]
-    if command == "denom":
-        writer.writerow(["n", "method", "primes", "product", "agree"])
-        agree = result.get("agree", "")
-        for method in ("formula", "oracle"):
-            if method in result:
-                writer.writerow(
-                    [
-                        record["inputs"]["n"],
-                        method,
-                        ";".join(str(p) for p in result[method]["primes"]),
-                        result[method]["product"],
-                        agree,
-                    ]
-                )
-    elif command == "verify":
-        writer.writerow(["suite", "range", "cases_total", "cases_failed", "status"])
-        for suite in result["suites"]:
-            writer.writerow(
-                [
-                    suite["suite"],
-                    suite["range"],
-                    suite["cases_total"],
-                    suite["cases_failed"],
-                    "pass" if suite["cases_failed"] == 0 else "fail",
-                ]
+def _denom_rows(record: dict):
+    result, n = record["result"], record["inputs"]["n"]
+    yield ["n", "method", "primes", "product", "agree"]
+    for method in ("formula", "oracle"):
+        if method in result:
+            primes = ";".join(str(p) for p in result[method]["primes"])
+            yield [n, method, primes, result[method]["product"], result.get("agree", "")]
+
+
+def _denom_lines(record: dict):
+    result, n = record["result"], record["inputs"]["n"]
+    for method in ("formula", "oracle"):
+        if method in result:
+            yield (
+                f"denom({n}) {method}: primes={result[method]['primes']} "
+                f"product={result[method]['product']}"
             )
-    elif command == "bernoulli":
-        writer.writerow(["index", "value"])
-        for i, value in enumerate(result["values"]):
-            writer.writerow([i, value])
-    else:
-        raise ValueError(f"no csv format for {command!r}")
-    return buf.getvalue()
+    if "agree" in result:
+        yield f"agree: {'yes' if result['agree'] else 'NO'}"
 
 
-def _render_plain(record: dict) -> str:
-    command = record["command"]
+def _frac_lines(record: dict):
     result = record["result"]
-    lines = []
-    if command == "denom":
-        n = record["inputs"]["n"]
-        for method in ("formula", "oracle"):
-            if method in result:
-                lines.append(
-                    f"denom({n}) {method}: primes={result[method]['primes']} "
-                    f"product={result[method]['product']}"
-                )
-        if "agree" in result:
-            lines.append(f"agree: {'yes' if result['agree'] else 'NO'}")
-    elif command == "frac":
-        n, p = record["inputs"]["n"], record["inputs"]["p"]
-        lines.append(
-            f"frac({n} | {p}) = {result['value']}  digit_sum={result['digit_sum']}  "
-            f"gt_one={'yes' if result['gt_one'] else 'no'}"
+    yield (
+        f"frac({record['inputs']['n']} | {record['inputs']['p']}) = {result['value']}  "
+        f"digit_sum={result['digit_sum']}  gt_one={'yes' if result['gt_one'] else 'no'}"
+    )
+
+
+def _verify_rows(record: dict):
+    yield ["suite", "range", "cases_total", "cases_failed", "status"]
+    for suite in record["result"]["suites"]:
+        status = "pass" if suite["cases_failed"] == 0 else "fail"
+        yield [suite["suite"], suite["range"], suite["cases_total"], suite["cases_failed"], status]
+
+
+def _verify_lines(record: dict):
+    for suite in record["result"]["suites"]:
+        status = "PASS" if suite["cases_failed"] == 0 else "FAIL"
+        yield (
+            f"{suite['suite']}: {suite['cases_total']} cases, "
+            f"{suite['cases_failed']} failures [{status}]  ({suite['range']})"
         )
-    elif command == "verify":
-        for suite in result["suites"]:
-            status = "PASS" if suite["cases_failed"] == 0 else "FAIL"
-            lines.append(
-                f"{suite['suite']}: {suite['cases_total']} cases, "
-                f"{suite['cases_failed']} failures [{status}]  ({suite['range']})"
-            )
-            for failure in suite["failures"]:
-                lines.append(f"  counterexample: {failure}")
-        lines.append("all passed" if result["passed"] else "FALSIFIED")
-    elif command == "scan":
-        inputs = record["inputs"]
-        lines.append(f"scan n={inputs['n']} primes={inputs['primes']} k_cap={inputs['k_cap']}")
-        for p in inputs["primes"]:
-            k = result["min_k"][str(p)]
-            lines.append(f"  p={p}: min k = {'not reached' if k is None else k}")
-        lines.append(f"M = {result['M']}  capped={'yes' if result['capped'] else 'no'}")
-    elif command == "stewart":
-        inputs = record["inputs"]
-        lines.append(f"stewart(n={inputs['n']}, c={inputs['c']}) ~ {result['value']!r}")
-    else:
-        raise ValueError(f"no plain format for {command!r}")
-    return "\n".join(lines) + "\n"
+        for failure in suite["failures"]:
+            yield f"  counterexample: {failure}"
+    yield "all passed" if record["result"]["passed"] else "FALSIFIED"
+
+
+def _scan_lines(record: dict):
+    inputs, result = record["inputs"], record["result"]
+    yield f"scan n={inputs['n']} primes={inputs['primes']} k_cap={inputs['k_cap']}"
+    for p in inputs["primes"]:
+        k = result["min_k"][str(p)]
+        yield f"  p={p}: min k = {'not reached' if k is None else k}"
+    yield f"M = {result['M']}  capped={'yes' if result['capped'] else 'no'}"
+
+
+def _bernoulli_rows(record: dict):
+    yield ["index", "value"]
+    yield from enumerate(record["result"]["values"])
+
+
+def _stewart_lines(record: dict):
+    inputs = record["inputs"]
+    yield f"stewart(n={inputs['n']}, c={inputs['c']}) ~ {record['result']['value']!r}"
+
+
+# command -> {format: renderer} for every format besides json, in the order
+# --format lists them; "csv" renderers yield rows, "plain" renderers lines.
+_RENDERERS = {
+    "denom": {"csv": _denom_rows, "plain": _denom_lines},
+    "frac": {"plain": _frac_lines},
+    "verify": {"csv": _verify_rows, "plain": _verify_lines},
+    "scan": {"plain": _scan_lines},
+    "bernoulli": {"csv": _bernoulli_rows},
+    "stewart": {"plain": _stewart_lines},
+}
 
 
 def _render(record: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(record, indent=2) + "\n"
-    if fmt == "csv":
-        return _render_csv(record)
-    return _render_plain(record)
+    items = _RENDERERS[record["command"]][fmt](record)
+    if fmt == "plain":
+        return "\n".join(items) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(items)
+    return buf.getvalue()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -356,21 +346,27 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     start = time.perf_counter()
+    # exact results may exceed the interpreter's int-to-str digit limit; the
+    # command caps already bound their size, so lift it while this call runs
+    str_digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         record, extra_meta, code = _HANDLERS[args.command](args)
-    except ValueError as exc:
+        meta = {"elapsed_ms": round((time.perf_counter() - start) * 1000, 3)}
+        meta.update(extra_meta)
+        meta["version"] = __version__
+        record["meta"] = meta
+        text = _render(record, args.format)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    meta = {"elapsed_ms": round((time.perf_counter() - start) * 1000, 3)}
-    meta.update(extra_meta)
-    meta["version"] = __version__
-    record["meta"] = meta
-    text = _render(record, args.format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    finally:
+        sys.set_int_max_str_digits(str_digits)
     return code
 
 

@@ -1,5 +1,6 @@
 """Command-line contract tests: exit codes, serialization, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 
 from berndenom import bernoulli as btable
 from berndenom.bernoulli import bernoulli_numbers, denom_formula
-from berndenom.cli import main
+from berndenom.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +116,12 @@ def test_frac_zero(capsys):
     assert record["result"] == {"value": "0", "digit_sum": 0, "gt_one": False}
 
 
+def test_frac_plain(capsys):
+    code, out, err = run_cli(capsys, "frac", "9", "5", "--format", "plain")
+    assert (code, err) == (0, "")
+    assert out == "frac(9 | 5) = 5/4  digit_sum=5  gt_one=yes\n"
+
+
 def test_frac_rejects_composite(capsys):
     code, out, err = run_cli(capsys, "frac", "9", "4")
     assert code == 1
@@ -184,6 +191,17 @@ def test_verify_csv(capsys):
     assert rows[1][0] == "main" and rows[1][4] == "pass"
 
 
+def test_verify_plain(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "main", "--max-n", "10", "--jobs", "1", "--format", "plain"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "main: 50 cases, 0 failures [PASS]  (n in [1, 10], primes p <= 11)\n"
+        "all passed\n"
+    )
+
+
 def test_verify_jobs_do_not_change_output(capsys):
     _, first = run_json(capsys, "verify", "main", "--max-n", "25", "--jobs", "1")
     _, second = run_json(capsys, "verify", "main", "--max-n", "25", "--jobs", "3")
@@ -216,6 +234,19 @@ def test_scan_full_set(capsys):
     assert record["result"]["min_k"] == {"2": 1, "3": 2, "5": 6, "7": 3}
     assert record["result"]["M"] == 6
     assert record["result"]["capped"] is False
+
+
+def test_scan_plain(capsys):
+    code, out, err = run_cli(capsys, "scan", "10", "--primes", "2,3,5,7", "--format", "plain")
+    assert (code, err) == (0, "")
+    assert out == (
+        "scan n=10 primes=[2, 3, 5, 7] k_cap=64\n"
+        "  p=2: min k = 1\n"
+        "  p=3: min k = 2\n"
+        "  p=5: min k = 6\n"
+        "  p=7: min k = 3\n"
+        "M = 6  capped=no\n"
+    )
 
 
 def test_scan_capped_exit_code(capsys):
@@ -282,6 +313,12 @@ def test_stewart_is_marked_inexact(capsys):
     assert isinstance(record["result"]["value"], float)
 
 
+def test_stewart_plain(capsys):
+    code, out, err = run_cli(capsys, "stewart", "1000", "1.5", "--format", "plain")
+    assert (code, err) == (0, "")
+    assert out == "stewart(n=1000, c=1.5) ~ -0.10479678121108005\n"
+
+
 def test_stewart_domain_error(capsys):
     assert run_cli(capsys, "stewart", "25", "1.0")[0] == 1
     for c in ("nan", "inf"):
@@ -311,6 +348,23 @@ def test_malformed_env_value_is_an_error(capsys, monkeypatch):
     assert run_cli(capsys, "scan", "7", "--primes", "5")[0] == 1
 
 
+def test_format_choices_per_command():
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    choices = {
+        name: tuple(next(a.choices for a in sub._actions if a.dest == "format"))
+        for name, sub in commands.choices.items()
+    }
+    assert choices == {
+        "denom": ("json", "csv", "plain"),
+        "frac": ("json", "plain"),
+        "verify": ("json", "csv", "plain"),
+        "scan": ("json", "plain"),
+        "bernoulli": ("json", "csv"),
+        "stewart": ("json", "plain"),
+    }
+
+
 # --- output handling -----------------------------------------------------------------
 
 
@@ -321,6 +375,38 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     record = json.loads(target.read_text())
     assert record["result"]["agree"] is True
+
+
+def test_output_to_missing_directory_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "denom", "5", "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_results_beyond_the_int_str_digit_limit_print_exactly(capsys):
+    # a 655-digit product and Bernoulli numerators of several hundred digits,
+    # above a caller's limit of 640 digits, which main must leave in place
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        as_json = run_cli(capsys, "denom", "1000000", "--method", "formula")
+        as_plain = run_cli(capsys, "denom", "1000000", "--method", "formula", "--format", "plain")
+        bern = run_cli(capsys, "bernoulli", "--max", "600")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(old)
+    product = denom_formula(10**6).product
+    assert len(str(product)) == 655
+    assert as_json[0] == 0 and as_json[2] == ""
+    assert json.loads(as_json[1])["result"]["formula"]["product"] == product
+    assert as_plain[0] == 0 and as_plain[2] == ""
+    assert as_plain[1].endswith(f" product={product}\n")
+    assert bern[0] == 0 and bern[2] == ""
+    values = [Fraction(v) for v in json.loads(bern[1])["result"]["values"]]
+    assert values == bernoulli_numbers(600)
 
 
 def test_repeated_runs_identical_modulo_meta(capsys):
