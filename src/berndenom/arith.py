@@ -12,6 +12,7 @@ from math import comb, isqrt
 
 __all__ = [
     "INFINITY",
+    "MILLER_RABIN_LIMIT",
     "DigitExpansion",
     "Valuation",
     "digit_expansion",
@@ -65,12 +66,24 @@ def _restore_infinity() -> _PlusInfinity:
     return INFINITY
 
 
+# Trial division below this bound costs at most 10^4 steps. Above it,
+# Miller-Rabin with the first thirteen primes as bases is deterministic below
+# MILLER_RABIN_LIMIT, the least strong pseudoprime to all of them (Sorenson &
+# Webster 2017; the first twelve bases alone stop at 318665857834031151167461),
+# and larger n are refused.
+TRIAL_DIVISION_LIMIT = 10**8
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division."""
-    if n < 2:
-        return False
+    """Deterministic primality test: trial division below
+    TRIAL_DIVISION_LIMIT, Miller-Rabin below MILLER_RABIN_LIMIT, and a
+    ValueError at or above that."""
     if n < 4:
-        return True
+        return n > 1
+    if n >= TRIAL_DIVISION_LIMIT:
+        return _miller_rabin(n)
     if n % 2 == 0 or n % 3 == 0:
         return False
     f = 5
@@ -78,6 +91,32 @@ def is_prime(n: int) -> bool:
         if n % f == 0 or n % (f + 2) == 0:
             return False
         f += 6
+    return True
+
+
+def _miller_rabin(n: int) -> bool:
+    # n >= TRIAL_DIVISION_LIMIT, so every base is a unit mod odd n
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"primality of {n} is not decided: the deterministic test covers "
+            f"n < {MILLER_RABIN_LIMIT}"
+        )
+    if n % 2 == 0:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 

@@ -182,12 +182,23 @@ def ord_rational(q: Fraction, p: int) -> Valuation:
 def ord_poly(f: RationalPolynomial, p: int) -> Valuation:
     """Minimum p-adic valuation over nonzero coefficients; INFINITY for zero."""
     ensure_prime(p)
+    # A reduced fraction has p in at most one of its numerator and
+    # denominator, so a denominator divisible by p settles the sign of the
+    # minimum; zero coefficients have denominator 1 and drop out here.
+    worst = 0
+    for c in f.coeffs:
+        if c.denominator % p == 0:
+            worst = max(worst, _ord_abs(c.denominator, p))
+    if worst:
+        return -worst
+    # No p in any denominator: the minimum is 0 at the first nonzero
+    # numerator p does not divide, else the least numerator valuation.
     best: Valuation = INFINITY
     for c in f.coeffs:
         if c:
-            v = _ord_abs(c.numerator, p) - _ord_abs(c.denominator, p)
-            if v < best:
-                best = v
+            if c.numerator % p:
+                return 0
+            best = min(best, _ord_abs(c.numerator, p))
     return best
 
 

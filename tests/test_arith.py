@@ -8,6 +8,7 @@ import pytest
 
 from berndenom.arith import (
     INFINITY,
+    MILLER_RABIN_LIMIT,
     digit_expansion,
     digit_sum,
     frac_sum,
@@ -297,3 +298,30 @@ def test_is_prime_known_values():
     assert is_prime(2) and is_prime(3) and is_prime(311) and is_prime(7919)
     for n in (-7, 0, 1, 4, 9, 91, 7917):
         assert not is_prime(n)
+
+
+def test_is_prime_agrees_with_the_sieve_below_ten_to_the_five():
+    listed = set(primes_up_to(10**5))
+    assert all(is_prime(m) == (m in listed) for m in range(10**5))
+
+
+def test_is_prime_above_the_trial_division_range():
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7, and
+    # 318665857834031151167461 the least one to the first twelve prime bases,
+    # which only the thirteenth base (41) exposes
+    for m in (3215031751, 318665857834031151167461, (2**61 - 1) * (2**17 - 1)):
+        assert not is_prime(m)
+    assert is_prime(2**61 - 1) and is_prime(10**24 + 7)
+    # across the switch from trial division, against division by every prime
+    # up to the square root
+    divisors = primes_up_to(10**4 + 100)
+    for m in range(10**8 - 500, 10**8 + 500):
+        assert is_prime(m) == all(m % q for q in divisors if q * q <= m)
+
+
+def test_is_prime_refuses_beyond_the_deterministic_range():
+    # the bound is itself a strong pseudoprime to the first thirteen prime
+    # bases, so the test must refuse it rather than call it prime
+    for m in (MILLER_RABIN_LIMIT, MILLER_RABIN_LIMIT + 1, 10**30):
+        with pytest.raises(ValueError, match="not decided"):
+            is_prime(m)

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from berndenom import bernoulli as btable
-from berndenom.arith import INFINITY, frac_sum, primes_up_to
+from berndenom.arith import INFINITY, _ord_abs, frac_sum, primes_up_to
 from berndenom.bernoulli import (
     FORMULA_SIEVE_LIMIT,
     RationalPolynomial,
@@ -215,6 +215,40 @@ def test_ord_poly_examples():
     for p in primes_up_to(13):
         assert ord_poly(bernoulli_poly_no_constant(2), p) == 0
     assert ord_poly(RationalPolynomial(()), 5) is INFINITY
+
+
+def _ord_poly_reference(f, p):
+    # the all-coefficient minimum: every numerator and denominator is read
+    best = INFINITY
+    for c in f.coeffs:
+        if c:
+            best = min(best, _ord_abs(c.numerator, p) - _ord_abs(c.denominator, p))
+    return best
+
+
+def test_ord_poly_matches_the_all_coefficient_minimum():
+    for n in range(1, 121):
+        f = bernoulli_poly_no_constant(n)
+        for p in primes_up_to(n + 3):
+            assert ord_poly(f, p) == _ord_poly_reference(f, p)
+
+
+@pytest.mark.parametrize(
+    "coeffs, p, expected",
+    [
+        ((), 5, INFINITY),
+        ((0, 0, 0), 3, INFINITY),
+        ((Fraction(1, 3), Fraction(2, 9), 5), 3, -2),
+        ((0, Fraction(5, 2), Fraction(1, 18), 0, 7), 3, -2),
+        ((9, 0, Fraction(27, 2), 18), 3, 2),
+        ((0, 25, Fraction(125, 7)), 5, 2),
+        ((Fraction(4, 7), 8, 0), 2, 2),
+        ((Fraction(4, 7), 3, 0), 2, 0),
+    ],
+)
+def test_ord_poly_hand_built(coeffs, p, expected):
+    f = RationalPolynomial.from_coeffs(coeffs)
+    assert ord_poly(f, p) == _ord_poly_reference(f, p) == expected
 
 
 def test_p_part_structure():

@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,8 +12,10 @@ from fractions import Fraction
 import pytest
 
 from berndenom import bernoulli as btable
+from berndenom.arith import MILLER_RABIN_LIMIT
 from berndenom.bernoulli import bernoulli_numbers, denom_formula
 from berndenom.cli import build_parser, main
+from berndenom.verify import VERIFY_MAX_N
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +131,26 @@ def test_frac_rejects_composite(capsys):
     assert "prime" in err
 
 
+def test_frac_with_a_large_prime_answers_quickly():
+    # trial division to sqrt(p) would run for years here
+    done = subprocess.run(
+        [sys.executable, "-m", "berndenom", "frac", "5", str(10**24 + 7)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout)
+    assert record["result"]["value"] == f"5/{10**24 + 6}"
+    assert record["meta"]["elapsed_ms"] < 1000
+
+
+def test_frac_refuses_p_beyond_the_primality_range(capsys):
+    code, out, err = run_cli(capsys, "frac", "5", str(MILLER_RABIN_LIMIT))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- verify -----------------------------------------------------------------
 
 
@@ -168,6 +191,12 @@ def test_verify_rejects_bad_flags(capsys):
     assert run_cli(capsys, "verify", "main", "--max-n", "5", "--jobs", "0")[0] == 1
 
 
+def test_verify_refuses_max_n_above_the_cap(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--max-n", str(VERIFY_MAX_N + 1))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_failure_exits_two(capsys):
     # corrupt the table with a prime inside the swept window (primes <= 5)
     btable.bernoulli_number(2)
@@ -202,14 +231,17 @@ def test_verify_plain(capsys):
     )
 
 
-def test_verify_jobs_do_not_change_output(capsys):
-    _, first = run_json(capsys, "verify", "main", "--max-n", "25", "--jobs", "1")
-    _, second = run_json(capsys, "verify", "main", "--max-n", "25", "--jobs", "3")
-    first.pop("meta")
-    second.pop("meta")
-    first["inputs"].pop("jobs")
-    second["inputs"].pop("jobs")
-    assert first == second
+def test_verify_jobs_do_not_change_output(capsys, monkeypatch):
+    # three shards on any host, since run_suite clamps jobs to the CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        code, record = run_json(capsys, "verify", "all", "--max-n", "60", "--jobs", jobs)
+        assert code == 0
+        record.pop("meta")
+        record["inputs"].pop("jobs")
+        outputs.append(json.dumps(record, indent=2))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 # --- scan -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the verification suites, the power scan, and growth diagnostics."""
 
 import math
+import multiprocessing
 import os
 
 import pytest
@@ -15,6 +16,7 @@ from berndenom.verify import (
     is_power_of,
     merge_reports,
     power_scan,
+    VERIFY_MAX_N,
     run_suite,
     stewart_bound,
     verify_binomial_valuations,
@@ -141,6 +143,35 @@ def test_run_suite_independent_of_jobs(suite, monkeypatch):
     assert serial.passed and sharded.passed
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the workers must inherit the patched kummer_carries",
+)
+def test_sharded_failures_keep_the_serial_order(monkeypatch):
+    # a wrong carry count at k = 1 and k = 2 fails every (n, p) with n >= k,
+    # in the serial order n, then k, then p; a sort on (n, p) would put both
+    # k of one p before the next p and break the equality below
+    real = verify.kummer_carries
+    monkeypatch.setattr(
+        verify, "kummer_carries", lambda n, k, p: real(n, k, p) + (k in (1, 2))
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = run_suite("binom", 30, jobs=1)
+    sharded = run_suite("binom", 30, jobs=3)
+    assert serial.failures
+    assert sharded.failures == serial.failures
+
+
+def test_sweeps_take_a_stride():
+    whole = verify_squarefree(1, 30)
+    parts = [verify_squarefree(lo, 30, step=3) for lo in (1, 2, 3)]
+    assert sum(r.cases_total for r in parts) == whole.cases_total
+    assert parts[1].range_checked == "n in [2, 30] step 3, primes p <= n+1"
+    assert parts[1].cases_total == sum(len(primes_up_to(n + 1)) for n in range(2, 31, 3))
+    with pytest.raises(ValueError):
+        verify_correspondence(1, 10, step=0)
+
+
 def test_run_suite_validates_arguments():
     with pytest.raises(ValueError):
         run_suite("nope", 10)
@@ -148,6 +179,18 @@ def test_run_suite_validates_arguments():
         run_suite("main", 0)
     with pytest.raises(ValueError):
         run_suite("main", 10, jobs=0)
+
+
+def test_run_suite_refuses_n_max_above_the_cap(monkeypatch):
+    # refused up front: no sweep runs and no pool starts
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started for a refused n_max")
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(verify, "_suite_shard", refuse)
+    for suite in verify.SUITE_NAMES:
+        with pytest.raises(ValueError, match=str(VERIFY_MAX_N)):
+            run_suite(suite, VERIFY_MAX_N + 1, jobs=2)
 
 
 def test_run_suite_clamps_jobs_to_cpu_count(monkeypatch):
