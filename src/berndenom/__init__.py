@@ -9,115 +9,11 @@ desk-scale suites that check the two routes and the fractional-part
 correspondence against each other.
 """
 
-from .arith import (
-    INFINITY,
-    DigitExpansion,
-    Valuation,
-    digit_expansion,
-    digit_sum,
-    ensure_prime,
-    frac_sum,
-    frac_sum_digit,
-    frac_sum_direct,
-    fracsum_is_integer,
-    is_prime,
-    kummer_carries,
-    lucas_binom_mod,
-    ord_binomial,
-    ord_factorial,
-    ord_int,
-    primes_up_to,
-    witness_k,
-)
-from .bernoulli import (
-    DEFAULT_BERNOULLI_CAP,
-    FORMULA_SIEVE_LIMIT,
-    DenominatorFactorization,
-    RationalPolynomial,
-    bernoulli_number,
-    bernoulli_numbers,
-    bernoulli_poly,
-    bernoulli_poly_no_constant,
-    bernoulli_poly_p_part,
-    clausen_denominator,
-    denom_formula,
-    denominator_has_prime,
-    ord_poly,
-    ord_rational,
-    poly_denominator,
-    prime_search_bound,
-)
-from .verify import (
-    DEFAULT_K_CAP,
-    SUITE_NAMES,
-    VERIFY_MAX_N,
-    DigitSumGrowth,
-    PowerScanResult,
-    VerificationReport,
-    digit_sum_growth,
-    is_power_of,
-    merge_reports,
-    power_scan,
-    run_suite,
-    stewart_bound,
-    verify_binomial_valuations,
-    verify_correspondence,
-    verify_prime_bound,
-    verify_squarefree,
-)
+from . import arith, bernoulli, verify
+from .arith import *  # noqa: F403
+from .bernoulli import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_BERNOULLI_CAP",
-    "DEFAULT_K_CAP",
-    "FORMULA_SIEVE_LIMIT",
-    "INFINITY",
-    "SUITE_NAMES",
-    "VERIFY_MAX_N",
-    "DenominatorFactorization",
-    "DigitExpansion",
-    "DigitSumGrowth",
-    "PowerScanResult",
-    "RationalPolynomial",
-    "Valuation",
-    "VerificationReport",
-    "bernoulli_number",
-    "bernoulli_numbers",
-    "bernoulli_poly",
-    "bernoulli_poly_no_constant",
-    "bernoulli_poly_p_part",
-    "clausen_denominator",
-    "denom_formula",
-    "denominator_has_prime",
-    "digit_expansion",
-    "digit_sum",
-    "digit_sum_growth",
-    "ensure_prime",
-    "frac_sum",
-    "frac_sum_digit",
-    "frac_sum_direct",
-    "fracsum_is_integer",
-    "is_power_of",
-    "is_prime",
-    "kummer_carries",
-    "lucas_binom_mod",
-    "merge_reports",
-    "ord_binomial",
-    "ord_factorial",
-    "ord_int",
-    "ord_poly",
-    "ord_rational",
-    "poly_denominator",
-    "power_scan",
-    "prime_search_bound",
-    "primes_up_to",
-    "run_suite",
-    "stewart_bound",
-    "verify_binomial_valuations",
-    "verify_correspondence",
-    "verify_prime_bound",
-    "verify_squarefree",
-    "witness_k",
-    "__version__",
-]
+__all__ = [*arith.__all__, *bernoulli.__all__, *verify.__all__, "__version__"]

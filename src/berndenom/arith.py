@@ -227,7 +227,9 @@ def frac_sum(n: int, p: int) -> Fraction:
 
     Computed as n/(p-1) - ord_factorial(n, p).
     """
-    return Fraction(n, p - 1) - ord_factorial(n, p)
+    # ord_factorial validates p before p - 1 becomes a denominator
+    valuation = ord_factorial(n, p)
+    return Fraction(n, p - 1) - valuation
 
 
 def frac_sum_digit(n: int, p: int) -> Fraction:

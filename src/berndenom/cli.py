@@ -116,8 +116,6 @@ def _factor_squarefree(d: int) -> list[int]:
 
 
 def _cmd_denom(args) -> tuple[dict, dict, int]:
-    if args.n < 1:
-        raise ValueError(f"n must be >= 1, got {args.n}")
     result: dict = {}
     code = EXIT_OK
     if args.method in ("formula", "both"):
@@ -141,8 +139,6 @@ def _cmd_denom(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_frac(args) -> tuple[dict, dict, int]:
-    if args.n < 0:
-        raise ValueError(f"n must be >= 0, got {args.n}")
     value = frac_sum(args.n, args.p)
     record = {
         "command": "frac",
@@ -158,11 +154,7 @@ def _cmd_frac(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict, int]:
-    if args.max_n < 1:
-        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     reports = [run_suite(name, args.max_n, jobs=jobs) for name in names]
     suites = [
@@ -214,8 +206,6 @@ def _cmd_scan(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_bernoulli(args) -> tuple[dict, dict, int]:
-    if args.max_index < 0:
-        raise ValueError(f"--max must be >= 0, got {args.max_index}")
     cap = args.cap if args.cap is not None else _env_int("BERNOULLI_CAP", DEFAULT_BERNOULLI_CAP)
     values = bernoulli_numbers(args.max_index, cap=cap)
     record = {

@@ -29,6 +29,7 @@ from .bernoulli import (
     bernoulli_poly_no_constant,
     ord_poly,
     poly_denominator,
+    prime_search_bound,
 )
 
 __all__ = [
@@ -59,19 +60,14 @@ VERIFY_MAX_N = 1000
 
 VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)
 
-# suite name -> (sweep function name, first n, p_max rule, range text). The
-# sweep is looked up by name at call time, so that a wrapper patched onto this
-# module's attribute (as the benchmark's tracer does) sees every shard.
+# suite name -> (sweep function name, first n). The sweep is looked up by name
+# at call time, so that a wrapper patched onto this module's attribute (as the
+# benchmark's tracer does) sees every shard.
 _SUITES = {
-    "main": ("verify_correspondence", 1, lambda n: n + 1, "primes p <= {p_max}"),
-    "bound": (
-        "verify_prime_bound",
-        1,
-        lambda n: 2 * n,
-        "primes p above (n+1)/2 or (n+1)/3 up to {p_max}",
-    ),
-    "squarefree": ("verify_squarefree", 1, None, "primes p <= n+1"),
-    "binom": ("verify_binomial_valuations", 0, None, "0 <= k <= n, p in {primes}"),
+    "main": ("verify_correspondence", 1),
+    "bound": ("verify_prime_bound", 1),
+    "squarefree": ("verify_squarefree", 1),
+    "binom": ("verify_binomial_valuations", 0),
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -96,11 +92,30 @@ class VerificationReport:
         return not self.failures
 
 
-def _check_range(n_lo: int, n_hi: int, step: int, least: int = 1) -> None:
+def _check_range(suite: str, n_lo: int, n_hi: int, step: int) -> None:
+    least = _SUITES[suite][1]
     if n_lo < least or n_lo > n_hi:
         raise ValueError(f"need {least} <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
+
+
+def _sweep(
+    suite: str, n_lo: int, n_hi: int, step: int, detail: str, check
+) -> VerificationReport:
+    # check(n, failures) appends the failing cases of one n and returns how
+    # many cases that n had
+    start = time.perf_counter()
+    failures: list[tuple] = []
+    cases = sum(check(n, failures) for n in range(n_lo, n_hi + 1, step))
+    stride = f" step {step}" if step != 1 else ""
+    return VerificationReport(
+        suite,
+        f"n in [{n_lo}, {n_hi}]{stride}, {detail}",
+        cases,
+        failures,
+        time.perf_counter() - start,
+    )
 
 
 def verify_correspondence(
@@ -114,27 +129,20 @@ def verify_correspondence(
     denominator has no factor above n, so both sides are false. The sweep up
     to p_max (default n_hi + 1) therefore covers the unrestricted statement.
     """
-    _check_range(n_lo, n_hi, step)
+    _check_range("main", n_lo, n_hi, step)
     if p_max is None:
         p_max = n_hi + 1
-    start = time.perf_counter()
     primes = primes_up_to(p_max)
-    failures: list[tuple] = []
-    cases = 0
-    for n in range(n_lo, n_hi + 1, step):
+
+    def check(n, failures):
         denom = poly_denominator(bernoulli_poly_no_constant(n))
         for p in primes:
-            cases += 1
             value = frac_sum(n, p)
             if (value > 1) != (denom % p == 0):
                 failures.append((n, p, value, denom))
-    return VerificationReport(
-        "main",
-        _describe("main", n_lo, n_hi, p_max, step=step),
-        cases,
-        failures,
-        time.perf_counter() - start,
-    )
+        return len(primes)
+
+    return _sweep("main", n_lo, n_hi, step, f"primes p <= {p_max}", check)
 
 
 def verify_prime_bound(
@@ -142,52 +150,39 @@ def verify_prime_bound(
 ) -> VerificationReport:
     """Check that primes beyond (n+1)/2 (odd n) or (n+1)/3 (even n) never push
     the fractional-part sum above 1, sweeping p up to a ceiling of 2 * n_hi."""
-    _check_range(n_lo, n_hi, step)
+    _check_range("bound", n_lo, n_hi, step)
     if p_max is None:
         p_max = 2 * n_hi
-    start = time.perf_counter()
     primes = primes_up_to(p_max)
-    failures: list[tuple] = []
-    cases = 0
-    for n in range(n_lo, n_hi + 1, step):
-        lam = 2 if n % 2 else 3
-        for p in primes:
-            if lam * p <= n + 1:
-                continue
-            cases += 1
+
+    def check(n, failures):
+        bound = prime_search_bound(n)
+        beyond = [p for p in primes if p > bound]
+        for p in beyond:
             value = frac_sum(n, p)
             if value > 1:
                 failures.append((n, p, value, 1))
-    return VerificationReport(
-        "bound",
-        _describe("bound", n_lo, n_hi, p_max, step=step),
-        cases,
-        failures,
-        time.perf_counter() - start,
-    )
+        return len(beyond)
+
+    detail = f"primes p above (n+1)/2 or (n+1)/3 up to {p_max}"
+    return _sweep("bound", n_lo, n_hi, step, detail, check)
 
 
 def verify_squarefree(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationReport:
     """Check that every coefficient-minimum valuation of the constant-free
     Bernoulli polynomial is -1 or 0, which makes its denominator squarefree."""
-    _check_range(n_lo, n_hi, step)
-    start = time.perf_counter()
-    failures: list[tuple] = []
-    cases = 0
-    for n in range(n_lo, n_hi + 1, step):
+    _check_range("squarefree", n_lo, n_hi, step)
+
+    def check(n, failures):
         f = bernoulli_poly_no_constant(n)
-        for p in primes_up_to(n + 1):
-            cases += 1
+        primes = primes_up_to(n + 1)
+        for p in primes:
             v = ord_poly(f, p)
             if v != 0 and v != -1:
                 failures.append((n, p, v, "-1 or 0"))
-    return VerificationReport(
-        "squarefree",
-        _describe("squarefree", n_lo, n_hi, None, step=step),
-        cases,
-        failures,
-        time.perf_counter() - start,
-    )
+        return len(primes)
+
+    return _sweep("squarefree", n_lo, n_hi, step, "primes p <= n+1", check)
 
 
 def verify_binomial_valuations(
@@ -196,17 +191,14 @@ def verify_binomial_valuations(
     """Check ord_p C(n,k) three ways (factorial valuations, carry count, exact
     factor count of the big integer) and the digitwise product against
     C(n,k) mod p."""
-    _check_range(n_lo, n_hi, step, least=0)
+    _check_range("binom", n_lo, n_hi, step)
     for p in primes:
         ensure_prime(p)
-    start = time.perf_counter()
-    failures: list[tuple] = []
-    cases = 0
-    for n in range(n_lo, n_hi + 1, step):
+
+    def check(n, failures):
         for k in range(n + 1):
             c = math.comb(n, k)
             for p in primes:
-                cases += 1
                 v_legendre = ord_binomial(n, k, p)
                 v_carries = kummer_carries(n, k, p)
                 v_exact = _ord_abs(c, p)
@@ -220,27 +212,10 @@ def verify_binomial_valuations(
                     failures.append(
                         (n, p, (k, v_legendre, v_carries, v_exact), (residue, c % p))
                     )
-    return VerificationReport(
-        "binom",
-        _describe("binom", n_lo, n_hi, None, primes, step=step),
-        cases,
-        failures,
-        time.perf_counter() - start,
-    )
+        return (n + 1) * len(primes)
 
-
-def _describe(
-    suite: str,
-    n_lo: int,
-    n_hi: int,
-    p_max: int | None,
-    primes: tuple[int, ...] = VALUATION_PRIMES,
-    *,
-    step: int = 1,
-) -> str:
-    text = _SUITES[suite][3].format(p_max=p_max, primes=list(primes))
-    stride = f" step {step}" if step != 1 else ""
-    return f"n in [{n_lo}, {n_hi}]{stride}, {text}"
+    detail = f"0 <= k <= n, p in {list(primes)}"
+    return _sweep("binom", n_lo, n_hi, step, detail, check)
 
 
 def merge_reports(reports: list[VerificationReport]) -> VerificationReport:
@@ -259,13 +234,8 @@ def merge_reports(reports: list[VerificationReport]) -> VerificationReport:
     )
 
 
-def _suite_shard(
-    suite: str, n_lo: int, n_hi: int, p_max: int | None, step: int
-) -> VerificationReport:
-    sweep = globals()[_SUITES[suite][0]]
-    if p_max is None:
-        return sweep(n_lo, n_hi, step=step)
-    return sweep(n_lo, n_hi, p_max, step=step)
+def _suite_shard(suite: str, n_lo: int, n_hi: int, step: int) -> VerificationReport:
+    return globals()[_SUITES[suite][0]](n_lo, n_hi, step=step)
 
 
 def run_suite(suite: str, n_max: int, jobs: int | None = None) -> VerificationReport:
@@ -285,12 +255,11 @@ def run_suite(suite: str, n_max: int, jobs: int | None = None) -> VerificationRe
         jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    _, n_lo, p_rule, _ = _SUITES[suite]
-    p_max = p_rule(n_max) if p_rule else None
+    n_lo = _SUITES[suite][1]
     start = time.perf_counter()
     shards = min(jobs, n_max - n_lo + 1, os.cpu_count() or 1)
     if shards == 1:
-        report = _suite_shard(suite, n_lo, n_max, p_max, 1)
+        report = _suite_shard(suite, n_lo, n_max, 1)
     else:
         with ProcessPoolExecutor(max_workers=shards) as pool:
             parts = list(
@@ -299,12 +268,13 @@ def run_suite(suite: str, n_max: int, jobs: int | None = None) -> VerificationRe
                     [suite] * shards,
                     range(n_lo, n_lo + shards),
                     [n_max] * shards,
-                    [p_max] * shards,
                     [shards] * shards,
                 )
             )
         report = merge_reports(parts)
-        report.range_checked = _describe(suite, n_lo, n_max, p_max)
+        # shard 0 swept [n_lo, n_max] with step shards; drop the stride from
+        # its text to get the serial one
+        report.range_checked = report.range_checked.replace(f" step {shards},", ",", 1)
         # each n lies in exactly one shard, and within an n the shard keeps the
         # serial order (for binom: k, then p), so a stable sort on n alone
         # restores the serial list; sorting on (n, p) would not

@@ -139,6 +139,15 @@ def test_ord_functions_reject_composite_base():
         frac_sum(10, 9)
 
 
+@pytest.mark.parametrize("p", [1, 0])
+def test_frac_sums_refuse_a_base_below_two(p):
+    # p - 1 is a zero or negative denominator here; p must be refused first
+    with pytest.raises(ValueError):
+        frac_sum(5, p)
+    with pytest.raises(ValueError):
+        fracsum_is_integer(5, p)
+
+
 # --- fractional-part sums ------------------------------------------------
 
 

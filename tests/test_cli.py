@@ -397,6 +397,16 @@ def test_format_choices_per_command():
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("frac", "5", "1"), ("frac", "-1", "5"), ("bernoulli", "--max", "-1"), ("denom", "0")],
+)
+def test_domain_errors_give_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- output handling -----------------------------------------------------------------
 
 

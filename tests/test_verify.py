@@ -98,6 +98,15 @@ def test_prime_bound_passes():
     assert report.cases_total > 0
 
 
+def test_prime_bound_case_counts():
+    # every prime p <= 2 * n_hi with lambda * p > n + 1, lambda = 2 for odd n
+    # and 3 for even n, is one case
+    primes = primes_up_to(240)
+    expected = sum(1 for n in range(1, 121) for p in primes if (3 - n % 2) * p > n + 1)
+    assert verify_prime_bound(1, 120).cases_total == expected == 5201
+    assert verify_prime_bound(1, 300).cases_total == 27494
+
+
 def test_prime_bound_spec_cases():
     assert frac_sum(4, 3) == 1
     assert frac_sum(4, 2) == 1
@@ -162,14 +171,37 @@ def test_sharded_failures_keep_the_serial_order(monkeypatch):
     assert sharded.failures == serial.failures
 
 
-def test_sweeps_take_a_stride():
-    whole = verify_squarefree(1, 30)
-    parts = [verify_squarefree(lo, 30, step=3) for lo in (1, 2, 3)]
+@pytest.mark.parametrize(
+    "sweep, first, detail, cases_at",
+    [
+        (verify_correspondence, 1, "primes p <= 31", lambda n: len(primes_up_to(31))),
+        (
+            verify_prime_bound,
+            1,
+            "primes p above (n+1)/2 or (n+1)/3 up to 60",
+            lambda n: sum((3 - n % 2) * p > n + 1 for p in primes_up_to(60)),
+        ),
+        (verify_squarefree, 1, "primes p <= n+1", lambda n: len(primes_up_to(n + 1))),
+        (
+            verify_binomial_valuations,
+            0,
+            "0 <= k <= n, p in [2, 3, 5, 7, 11, 13]",
+            lambda n: 6 * (n + 1),
+        ),
+    ],
+    ids=["main", "bound", "squarefree", "binom"],
+)
+def test_sweeps_take_a_stride(sweep, first, detail, cases_at):
+    whole = sweep(first, 30)
+    parts = [sweep(lo, 30, step=3) for lo in range(first, first + 3)]
     assert sum(r.cases_total for r in parts) == whole.cases_total
-    assert parts[1].range_checked == "n in [2, 30] step 3, primes p <= n+1"
-    assert parts[1].cases_total == sum(len(primes_up_to(n + 1)) for n in range(2, 31, 3))
-    with pytest.raises(ValueError):
-        verify_correspondence(1, 10, step=0)
+    assert parts[1].cases_total == sum(cases_at(n) for n in range(first + 1, 31, 3))
+    assert whole.range_checked == f"n in [{first}, 30], {detail}"
+    assert parts[1].range_checked == f"n in [{first + 1}, 30] step 3, {detail}"
+    assert sweep(first, first).passed
+    for n_lo, n_hi, step in ((first, 10, 0), (11, 10, 1), (first - 1, 10, 1)):
+        with pytest.raises(ValueError):
+            sweep(n_lo, n_hi, step=step)
 
 
 def test_run_suite_validates_arguments():
