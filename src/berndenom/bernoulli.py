@@ -41,10 +41,12 @@ __all__ = [
     "prime_search_bound",
 ]
 
-# Refusal threshold for table extension, overridable per call; a guard against
-# runaway time and memory, not a silent truncation. A full table to 5000 takes
-# about 27 s and 65 MB peak RSS (CPython 3.11, one core of a 2-vCPU x86-64
-# host); growth is roughly cubic in the cap, so 10000 would take minutes.
+# Refusal threshold for table extension, the one cap for every caller that
+# builds the table (bernoulli, denom --method oracle|both and the suites); a
+# guard against runaway time and memory, not a silent truncation. A full table
+# to 5000 takes about 27 s and 65 MB peak RSS (CPython 3.11, one core of a
+# 2-vCPU x86-64 host); growth is roughly cubic in the cap, so 10000 would take
+# minutes.
 DEFAULT_BERNOULLI_CAP = 5000
 
 # Largest prime sieve denom_formula runs, until an O(sqrt n) route replaces the
@@ -83,20 +85,19 @@ def _extend_bernoulli(n: int) -> None:
             row[k] += row[k - 1]
 
 
-def bernoulli_number(n: int, *, cap: int | None = None) -> Fraction:
+def bernoulli_number(n: int) -> Fraction:
     """The n-th Bernoulli number as an exact fraction, with B_1 = -1/2."""
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
-    limit = DEFAULT_BERNOULLI_CAP if cap is None else cap
-    if n > limit:
-        raise ValueError(f"index {n} exceeds the table cap {limit}")
+    if n > DEFAULT_BERNOULLI_CAP:
+        raise ValueError(f"index {n} exceeds the table cap {DEFAULT_BERNOULLI_CAP}")
     _extend_bernoulli(n)
     return _BERNOULLI[n]
 
 
-def bernoulli_numbers(n_max: int, *, cap: int | None = None) -> list[Fraction]:
+def bernoulli_numbers(n_max: int) -> list[Fraction]:
     """The table B_0 .. B_n_max as exact fractions (copied out of the memo)."""
-    bernoulli_number(n_max, cap=cap)
+    bernoulli_number(n_max)
     return _BERNOULLI[: n_max + 1]
 
 
@@ -227,18 +228,15 @@ class DenominatorFactorization:
     product: int
 
 
-def denom_formula(n: int, *, search_bound: int | None = None) -> DenominatorFactorization:
+def denom_formula(n: int) -> DenominatorFactorization:
     """denom of the constant-free Bernoulli polynomial, as the product of all
     primes p with digit_sum(n, p) >= p.
 
-    The default search stops at prime_search_bound(n), past which no prime can
-    qualify; pass a wider search_bound to cross-check that the cutoff loses
-    nothing (any p > n has digit sum n < p and never qualifies). A search
-    bound above FORMULA_SIEVE_LIMIT is refused before anything is allocated.
+    The search stops at prime_search_bound(n), past which no prime can
+    qualify. A bound above FORMULA_SIEVE_LIMIT is refused before anything is
+    allocated.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    bound = prime_search_bound(n) if search_bound is None else search_bound
+    bound = prime_search_bound(n)
     if bound > FORMULA_SIEVE_LIMIT:
         raise ValueError(
             f"n = {n} needs a prime sieve to {bound}, above the limit "

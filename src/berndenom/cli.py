@@ -19,7 +19,6 @@ import time
 from . import __version__
 from .arith import digit_sum, frac_sum
 from .bernoulli import (
-    DEFAULT_BERNOULLI_CAP,
     bernoulli_numbers,
     bernoulli_poly_no_constant,
     denom_formula,
@@ -28,8 +27,6 @@ from .bernoulli import (
 from .verify import DEFAULT_K_CAP, SUITE_NAMES, power_scan, run_suite, stewart_bound
 
 __all__ = ["build_parser", "entrypoint", "main"]
-
-ENV_PREFIX = "BERNDENOM_"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,16 +41,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {ENV_PREFIX}{name} must be an integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,11 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="minimal exponents k with digit_sum(n^k, p) >= p")
     scan.add_argument("n", type=int)
     scan.add_argument("--primes", required=True, help="comma-separated primes, e.g. 2,3,5,7")
-    scan.add_argument("--k-cap", type=int, default=None, dest="k_cap")
+    scan.add_argument("--k-cap", type=int, default=DEFAULT_K_CAP, dest="k_cap")
 
     bern = sub.add_parser("bernoulli", help="exact Bernoulli numbers B_0..B_N")
     bern.add_argument("--max", type=int, required=True, dest="max_index")
-    bern.add_argument("--cap", type=int, default=None, help="table size refusal threshold")
 
     stew = sub.add_parser(
         "stewart", help="evaluate log log n / (log log log n + c) - 1 (approximate)"
@@ -104,18 +90,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _factor_squarefree(d: int) -> list[int]:
-    # trial division; the inputs here are squarefree products of small primes
+    # trial division, each prime listed once and divided out fully, so that a
+    # square left by a corrupted table still ends in a reported disagreement
     factors = []
     f = 2
     while d > 1:
         if d % f == 0:
             factors.append(f)
-            d //= f
+            while d % f == 0:
+                d //= f
         f += 1 if f == 2 else 2
     return factors
 
 
-def _cmd_denom(args) -> tuple[dict, dict, int]:
+def _cmd_denom(args) -> tuple[dict, dict, dict, int]:
     result: dict = {}
     code = EXIT_OK
     if args.method in ("formula", "both"):
@@ -129,31 +117,16 @@ def _cmd_denom(args) -> tuple[dict, dict, int]:
         result["agree"] = agree
         if not agree:
             code = EXIT_FALSIFIED
-    record = {
-        "command": "denom",
-        "inputs": {"n": args.n, "method": args.method},
-        "result": result,
-        "exact": True,
-    }
-    return record, {}, code
+    return {"n": args.n, "method": args.method}, result, {}, code
 
 
-def _cmd_frac(args) -> tuple[dict, dict, int]:
+def _cmd_frac(args) -> tuple[dict, dict, dict, int]:
     value = frac_sum(args.n, args.p)
-    record = {
-        "command": "frac",
-        "inputs": {"n": args.n, "p": args.p},
-        "result": {
-            "value": str(value),
-            "digit_sum": digit_sum(args.n, args.p),
-            "gt_one": value > 1,
-        },
-        "exact": True,
-    }
-    return record, {}, EXIT_OK
+    result = {"value": str(value), "digit_sum": digit_sum(args.n, args.p), "gt_one": value > 1}
+    return {"n": args.n, "p": args.p}, result, {}, EXIT_OK
 
 
-def _cmd_verify(args) -> tuple[dict, dict, int]:
+def _cmd_verify(args) -> tuple[dict, dict, dict, int]:
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     reports = [run_suite(name, args.max_n, jobs=jobs) for name in names]
@@ -168,14 +141,10 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
         for r in reports
     ]
     passed = all(r.passed for r in reports)
-    record = {
-        "command": "verify",
-        "inputs": {"suite": args.suite, "max_n": args.max_n, "jobs": jobs},
-        "result": {"passed": passed, "suites": suites},
-        "exact": True,
-    }
+    inputs = {"suite": args.suite, "max_n": args.max_n, "jobs": jobs}
     meta = {"suite_elapsed_ms": {r.suite: round(r.elapsed * 1000, 3) for r in reports}}
-    return record, meta, EXIT_OK if passed else EXIT_FALSIFIED
+    code = EXIT_OK if passed else EXIT_FALSIFIED
+    return inputs, {"passed": passed, "suites": suites}, meta, code
 
 
 def _parse_primes(raw: str) -> list[int]:
@@ -188,46 +157,28 @@ def _parse_primes(raw: str) -> list[int]:
     return primes
 
 
-def _cmd_scan(args) -> tuple[dict, dict, int]:
-    primes = _parse_primes(args.primes)
-    k_cap = args.k_cap if args.k_cap is not None else _env_int("K_CAP", DEFAULT_K_CAP)
-    res = power_scan(args.n, primes, k_cap)
-    record = {
-        "command": "scan",
-        "inputs": {"n": res.n, "primes": list(res.prime_set), "k_cap": res.k_cap},
-        "result": {
-            "min_k": {str(p): res.min_k[p] for p in res.prime_set},
-            "M": res.threshold,
-            "capped": res.capped,
-        },
-        "exact": True,
+def _cmd_scan(args) -> tuple[dict, dict, dict, int]:
+    res = power_scan(args.n, _parse_primes(args.primes), args.k_cap)
+    inputs = {"n": res.n, "primes": list(res.prime_set), "k_cap": res.k_cap}
+    result = {
+        "min_k": {str(p): res.min_k[p] for p in res.prime_set},
+        "M": res.threshold,
+        "capped": res.capped,
     }
-    return record, {}, EXIT_CAPPED if res.capped else EXIT_OK
+    return inputs, result, {}, EXIT_CAPPED if res.capped else EXIT_OK
 
 
-def _cmd_bernoulli(args) -> tuple[dict, dict, int]:
-    cap = args.cap if args.cap is not None else _env_int("BERNOULLI_CAP", DEFAULT_BERNOULLI_CAP)
-    values = bernoulli_numbers(args.max_index, cap=cap)
-    record = {
-        "command": "bernoulli",
-        "inputs": {"max": args.max_index},
-        "result": {"values": [str(v) for v in values]},
-        "exact": True,
-    }
-    return record, {}, EXIT_OK
+def _cmd_bernoulli(args) -> tuple[dict, dict, dict, int]:
+    values = [str(v) for v in bernoulli_numbers(args.max_index)]
+    return {"max": args.max_index}, {"values": values}, {}, EXIT_OK
 
 
-def _cmd_stewart(args) -> tuple[dict, dict, int]:
-    value = stewart_bound(args.n, args.c)
-    record = {
-        "command": "stewart",
-        "inputs": {"n": args.n, "c": args.c},
-        "result": {"value": value},
-        "exact": False,
-    }
-    return record, {}, EXIT_OK
+def _cmd_stewart(args) -> tuple[dict, dict, dict, int]:
+    return {"n": args.n, "c": args.c}, {"value": stewart_bound(args.n, args.c)}, {}, EXIT_OK
 
 
+# command -> handler returning (inputs, result, extra meta, exit code); main
+# wraps them in the record
 _HANDLERS = {
     "denom": _cmd_denom,
     "frac": _cmd_frac,
@@ -341,11 +292,16 @@ def main(argv: list[str] | None = None) -> int:
     str_digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        record, extra_meta, code = _HANDLERS[args.command](args)
-        meta = {"elapsed_ms": round((time.perf_counter() - start) * 1000, 3)}
-        meta.update(extra_meta)
-        meta["version"] = __version__
-        record["meta"] = meta
+        inputs, result, extra_meta, code = _HANDLERS[args.command](args)
+        elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
+        record = {
+            "command": args.command,
+            "inputs": inputs,
+            "result": result,
+            # stewart's float is the one approximate result
+            "exact": args.command != "stewart",
+            "meta": {"elapsed_ms": elapsed_ms, **extra_meta, "version": __version__},
+        }
         text = _render(record, args.format)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:

@@ -145,14 +145,11 @@ def verify_correspondence(
     return _sweep("main", n_lo, n_hi, step, f"primes p <= {p_max}", check)
 
 
-def verify_prime_bound(
-    n_lo: int, n_hi: int, p_max: int | None = None, *, step: int = 1
-) -> VerificationReport:
+def verify_prime_bound(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationReport:
     """Check that primes beyond (n+1)/2 (odd n) or (n+1)/3 (even n) never push
     the fractional-part sum above 1, sweeping p up to a ceiling of 2 * n_hi."""
     _check_range("bound", n_lo, n_hi, step)
-    if p_max is None:
-        p_max = 2 * n_hi
+    p_max = 2 * n_hi
     primes = primes_up_to(p_max)
 
     def check(n, failures):
@@ -185,20 +182,16 @@ def verify_squarefree(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationRep
     return _sweep("squarefree", n_lo, n_hi, step, "primes p <= n+1", check)
 
 
-def verify_binomial_valuations(
-    n_lo: int, n_hi: int, primes: tuple[int, ...] = VALUATION_PRIMES, *, step: int = 1
-) -> VerificationReport:
+def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationReport:
     """Check ord_p C(n,k) three ways (factorial valuations, carry count, exact
     factor count of the big integer) and the digitwise product against
-    C(n,k) mod p."""
+    C(n,k) mod p, for p in VALUATION_PRIMES."""
     _check_range("binom", n_lo, n_hi, step)
-    for p in primes:
-        ensure_prime(p)
 
     def check(n, failures):
         for k in range(n + 1):
             c = math.comb(n, k)
-            for p in primes:
+            for p in VALUATION_PRIMES:
                 v_legendre = ord_binomial(n, k, p)
                 v_carries = kummer_carries(n, k, p)
                 v_exact = _ord_abs(c, p)
@@ -212,9 +205,9 @@ def verify_binomial_valuations(
                     failures.append(
                         (n, p, (k, v_legendre, v_carries, v_exact), (residue, c % p))
                     )
-        return (n + 1) * len(primes)
+        return (n + 1) * len(VALUATION_PRIMES)
 
-    detail = f"0 <= k <= n, p in {list(primes)}"
+    detail = f"0 <= k <= n, p in {list(VALUATION_PRIMES)}"
     return _sweep("binom", n_lo, n_hi, step, detail, check)
 
 

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from berndenom import bernoulli as btable
-from berndenom.arith import INFINITY, _ord_abs, frac_sum, primes_up_to
+from berndenom.arith import INFINITY, _ord_abs, digit_sum, frac_sum, primes_up_to
 from berndenom.bernoulli import (
     FORMULA_SIEVE_LIMIT,
     RationalPolynomial,
@@ -111,12 +111,9 @@ def test_bernoulli_table_invariants():
 
 def test_bernoulli_cap_refuses_large_requests():
     with pytest.raises(ValueError):
-        bernoulli_numbers(10, cap=5)
-    with pytest.raises(ValueError):
         bernoulli_numbers(5001)
     with pytest.raises(ValueError):
         bernoulli_number(-1)
-    assert bernoulli_number(10, cap=10) == Fraction(5, 66)
 
 
 def test_von_staudt_clausen_integrality():
@@ -307,8 +304,9 @@ def test_denom_formula_refuses_oversized_sieve():
     # refused before the sieve is allocated: 10^12 would need about 333 GB
     with pytest.raises(ValueError, match="sieve"):
         denom_formula(10**12)
+    # the least odd n whose search bound (n+1)/2 passes the limit
     with pytest.raises(ValueError, match="sieve"):
-        denom_formula(9, search_bound=FORMULA_SIEVE_LIMIT + 1)
+        denom_formula(2 * FORMULA_SIEVE_LIMIT + 1)
 
 
 def test_denom_formula_matches_frozen_oracle():
@@ -322,11 +320,12 @@ def test_brute_force_matches_frozen_oracle():
 
 
 def test_search_bound_is_lossless():
-    # widening the prime search beyond (n+1)/lambda_n must change nothing
+    # widening the prime search beyond (n+1)/lambda_n to every p <= n must
+    # change nothing (any p > n has digit sum n < p and never qualifies)
     for n in range(1, 121):
         narrow = denom_formula(n)
-        wide = denom_formula(n, search_bound=n)
-        assert narrow.primes == wide.primes
+        wide = tuple(p for p in primes_up_to(n) if digit_sum(n, p) >= p)
+        assert narrow.primes == wide
         assert all(p <= prime_search_bound(n) for p in narrow.primes)
 
 

@@ -84,6 +84,26 @@ def test_denom_detects_corrupted_table(capsys):
     assert record["result"]["oracle"]["product"] == 14
 
 
+def test_denom_reports_a_non_squarefree_oracle_denominator():
+    # B_2 corrupted to 1/4 leaves 4 in the oracle denominator, so the factoring
+    # meets a repeated prime; a child with a timeout turns a hang into a failure
+    script = (
+        "from fractions import Fraction\n"
+        "from berndenom import bernoulli, cli\n"
+        "bernoulli.bernoulli_number(2)\n"
+        "bernoulli._BERNOULLI[2] = Fraction(1, 4)\n"
+        "raise SystemExit(cli.main(['denom', '3', '--method', 'both']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    result = json.loads(proc.stdout)["result"]
+    assert result["oracle"] == {"primes": [2], "product": 4}
+    assert result["formula"] == {"primes": [2], "product": 2}
+    assert result["agree"] is False
+
+
 def test_denom_round_trips(capsys):
     code, record = run_json(capsys, "denom", "13", "--method", "both")
     assert code == 0
@@ -323,7 +343,7 @@ def test_bernoulli_round_trips(capsys):
 
 
 def test_bernoulli_over_cap(capsys):
-    assert run_cli(capsys, "bernoulli", "--max", "10", "--cap", "5")[0] == 1
+    assert run_cli(capsys, "bernoulli", "--max", "5001")[0] == 1
 
 
 def test_bernoulli_csv(capsys):
@@ -360,24 +380,29 @@ def test_stewart_domain_error(capsys):
         assert err.startswith("error:")
 
 
-# --- configuration ------------------------------------------------------------------
+# --- the record, the parser and errors -------------------------------------------------
 
 
-def test_env_cap_is_honored_and_flag_wins(capsys, monkeypatch):
-    monkeypatch.setenv("BERNDENOM_BERNOULLI_CAP", "5")
-    assert run_cli(capsys, "bernoulli", "--max", "10")[0] == 1
-    assert run_cli(capsys, "bernoulli", "--max", "10", "--cap", "20")[0] == 0
-
-
-def test_env_k_cap_is_honored_and_flag_wins(capsys, monkeypatch):
-    monkeypatch.setenv("BERNDENOM_K_CAP", "1")
-    assert run_cli(capsys, "scan", "7", "--primes", "5")[0] == 3
-    assert run_cli(capsys, "scan", "7", "--primes", "5", "--k-cap", "16")[0] == 0
-
-
-def test_malformed_env_value_is_an_error(capsys, monkeypatch):
-    monkeypatch.setenv("BERNDENOM_K_CAP", "soon")
-    assert run_cli(capsys, "scan", "7", "--primes", "5")[0] == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("denom", "9"),
+        ("frac", "9", "5"),
+        ("verify", "main", "--max-n", "5", "--jobs", "1"),
+        ("scan", "10", "--primes", "2,3"),
+        ("bernoulli", "--max", "4"),
+        ("stewart", "1000", "1.5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_record_envelope(capsys, argv):
+    code, record = run_json(capsys, *argv)
+    assert code == 0
+    assert list(record) == ["command", "inputs", "result", "exact", "meta"]
+    assert record["command"] == argv[0]
+    assert record["exact"] is (argv[0] != "stewart")
+    extra = ["suite_elapsed_ms"] if argv[0] == "verify" else []
+    assert list(record["meta"]) == ["elapsed_ms", *extra, "version"]
 
 
 def test_format_choices_per_command():
@@ -399,7 +424,14 @@ def test_format_choices_per_command():
 
 @pytest.mark.parametrize(
     "argv",
-    [("frac", "5", "1"), ("frac", "-1", "5"), ("bernoulli", "--max", "-1"), ("denom", "0")],
+    [
+        ("frac", "5", "1"),
+        ("frac", "-1", "5"),
+        ("bernoulli", "--max", "-1"),
+        ("denom", "0"),
+        ("bernoulli", "--max", "5001"),
+        ("denom", "5001", "--method", "oracle"),
+    ],
 )
 def test_domain_errors_give_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
