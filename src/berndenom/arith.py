@@ -214,11 +214,15 @@ def ord_factorial(n: int, p: int) -> int:
     """Exponent of the prime p in n!, as the sum of floor(n / p^nu)."""
     ensure_prime(p)
     _check_natural(n)
+    return _legendre(n, p)
+
+
+def _legendre(n: int, p: int) -> int:
+    # n >= 0 and prime p assumed; callers validate
     total = 0
-    q = n
-    while q:
-        q //= p
-        total += q
+    while n:
+        n //= p
+        total += n
     return total
 
 
@@ -278,7 +282,8 @@ def ord_binomial(n: int, k: int, p: int) -> int:
     Runs in O(log n) divisions; never factors the binomial coefficient itself.
     """
     _check_binom_args(n, k)
-    return ord_factorial(n, p) - ord_factorial(k, p) - ord_factorial(n - k, p)
+    ensure_prime(p)
+    return _legendre(n, p) - _legendre(k, p) - _legendre(n - k, p)
 
 
 def kummer_carries(n: int, k: int, p: int) -> int:

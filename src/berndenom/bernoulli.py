@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm, prod
 
 from .arith import (
@@ -109,7 +110,7 @@ class RationalPolynomial:
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "RationalPolynomial":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
@@ -128,14 +129,25 @@ class RationalPolynomial:
             return self.coeffs[power]
         return Fraction(0)
 
+    @cached_property
+    def denominator(self) -> int:
+        """Lcm of the reduced coefficient denominators; 1 for zero.
+
+        Computed on first read and kept on the instance; it is not a field,
+        so equality and hashing still see the coefficients alone.
+        """
+        return lcm(*(c.denominator for c in self.coeffs))
+
 
 def bernoulli_poly(n: int) -> RationalPolynomial:
     """The degree-n Bernoulli polynomial sum(C(n,k) B_k x^(n-k), k=0..n)."""
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
     table = bernoulli_numbers(n)
-    coeffs = [comb(n, n - j) * table[n - j] for j in range(n + 1)]
-    return RationalPolynomial.from_coeffs(coeffs)
+    # every odd B_k past B_1 is zero, so half the products can be skipped;
+    # each entry is still read, so a corrupted one reaches the polynomial
+    coeffs = [comb(n, k) * b if b else b for k, b in enumerate(table)]
+    return RationalPolynomial.from_coeffs(reversed(coeffs))
 
 
 def bernoulli_poly_no_constant(n: int) -> RationalPolynomial:
@@ -169,7 +181,7 @@ def bernoulli_poly_p_part(n: int, p: int) -> RationalPolynomial:
 
 def poly_denominator(f: RationalPolynomial) -> int:
     """Lcm of the reduced coefficient denominators; 1 for the zero polynomial."""
-    return lcm(*(c.denominator for c in f.coeffs))
+    return f.denominator
 
 
 def ord_rational(q: Fraction, p: int) -> Valuation:
@@ -185,13 +197,10 @@ def ord_poly(f: RationalPolynomial, p: int) -> Valuation:
     ensure_prime(p)
     # A reduced fraction has p in at most one of its numerator and
     # denominator, so a denominator divisible by p settles the sign of the
-    # minimum; zero coefficients have denominator 1 and drop out here.
-    worst = 0
-    for c in f.coeffs:
-        if c.denominator % p == 0:
-            worst = max(worst, _ord_abs(c.denominator, p))
-    if worst:
-        return -worst
+    # minimum. The p-part of an lcm is the largest p-part of its terms, so
+    # the polynomial's lcm gives that minimum, -ord_p of the lcm, at once.
+    if f.denominator % p == 0:
+        return -_ord_abs(f.denominator, p)
     # No p in any denominator: the minimum is 0 at the first nonzero
     # numerator p does not divide, else the least numerator valuation.
     best: Valuation = INFINITY

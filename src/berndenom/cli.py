@@ -9,6 +9,7 @@ failed suite), 3 capped scan.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -279,6 +280,25 @@ def _render(record: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
+def _write_atomically(path: str, text: str) -> None:
+    # a temp file beside the target, renamed over it: the target holds its old
+    # content or the whole report, never a part of it. Any failure is reported
+    # against the target, and the temp file is gone on every path out.
+    head, tail = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -304,8 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         text = _render(record, args.format)
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _write_atomically(args.output, text)
         else:
             sys.stdout.write(text)
     except (ValueError, OSError) as exc:

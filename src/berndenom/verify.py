@@ -53,9 +53,17 @@ __all__ = [
 
 DEFAULT_K_CAP = 64
 
+# Largest bit length a scan's top power n^k_cap may reach, taken as the upper
+# bound k_cap * n.bit_length(); larger scans are refused before any power is
+# built. digit_sum is quadratic in the length of its input, so a scan costs
+# about the cube of this. The dearest accepted series, digit_sum_growth(3, 2,
+# 5000), takes about 19 s (CPython 3.11.7, 2-vCPU x86-64 host), less than the
+# about 22 s of `verify all --max-n VERIFY_MAX_N` there.
+SCAN_MAX_BITS = 10_000
+
 # Largest n_max run_suite accepts. `verify all --max-n 1000 --jobs 2` takes
-# about 30 s in-program (CPython 3.11.7, 2-vCPU x86-64 host), against 1.2 s
-# at 300; the cost grows roughly as n_max^3.
+# about 22 s in-program (19 to 32 s over four runs; CPython 3.11.7, 2-vCPU
+# x86-64 host), against about 1.3 s at 300; the cost grows roughly as n_max^3.
 VERIFY_MAX_N = 1000
 
 VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -283,6 +291,20 @@ def is_power_of(n: int, p: int) -> bool:
     return n == 1
 
 
+def _check_scan(n: int, k_cap: int) -> None:
+    if n <= 1:
+        raise ValueError(f"n must be > 1, got {n}")
+    if k_cap < 1:
+        raise ValueError(f"k_cap must be >= 1, got {k_cap}")
+    bits = k_cap * n.bit_length()
+    if bits > SCAN_MAX_BITS:
+        # n itself may be too long to print
+        raise ValueError(
+            f"n^{k_cap} for an n of {n.bit_length()} bits may have up to {bits} "
+            f"bits, above the scan limit of {SCAN_MAX_BITS}; lower k_cap"
+        )
+
+
 @dataclass(frozen=True)
 class PowerScanResult:
     """Per-prime minimal exponents k with digit_sum(n^k, p) >= p.
@@ -306,12 +328,10 @@ def power_scan(n: int, prime_set, k_cap: int = DEFAULT_K_CAP) -> PowerScanResult
     digit_sum(n^k, p) >= p is exactly the condition for p to divide the
     constant-free Bernoulli denominator at index n^k. Raises when n is a pure
     power of some listed p, since then every n^k has a single nonzero base-p
-    digit and the criterion can never be met.
+    digit and the criterion can never be met, and when n^k_cap may exceed
+    SCAN_MAX_BITS bits.
     """
-    if n <= 1:
-        raise ValueError(f"n must be > 1, got {n}")
-    if k_cap < 1:
-        raise ValueError(f"k_cap must be >= 1, got {k_cap}")
+    _check_scan(n, k_cap)
     primes = tuple(sorted(set(prime_set)))
     if not primes:
         raise ValueError("prime_set must not be empty")
@@ -355,12 +375,12 @@ class DigitSumGrowth:
 
 
 def digit_sum_growth(n: int, p: int, k_cap: int = DEFAULT_K_CAP) -> DigitSumGrowth:
-    """The series digit_sum(n^k, p) for k = 1..k_cap, with running maximum."""
+    """The series digit_sum(n^k, p) for k = 1..k_cap, with running maximum.
+
+    Refused, like power_scan, when n^k_cap may exceed SCAN_MAX_BITS bits.
+    """
     ensure_prime(p)
-    if n <= 1:
-        raise ValueError(f"n must be > 1, got {n}")
-    if k_cap < 1:
-        raise ValueError(f"k_cap must be >= 1, got {k_cap}")
+    _check_scan(n, k_cap)
     if is_power_of(n, p):
         raise ValueError(
             f"{n} is a power of {p}: the base-{p} digit sum of its powers is "

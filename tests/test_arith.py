@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from berndenom import arith
 from berndenom.arith import (
     INFINITY,
     MILLER_RABIN_LIMIT,
@@ -254,6 +255,36 @@ def test_binomial_args_validated():
         lucas_binom_mod(4, 6, 3)
     with pytest.raises(ValueError):
         kummer_carries(7, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        (ord_binomial, (10, 3, 4), "p must be prime, got 4"),
+        (ord_binomial, (10, 3, 1), "p must be prime, got 1"),
+        (ord_binomial, (10, -1, 3), "need 0 <= k <= n, got k=-1, n=10"),
+        (ord_binomial, (10, 11, 3), "need 0 <= k <= n, got k=11, n=10"),
+        (ord_binomial, (-1, 0, 3), "need 0 <= k <= n, got k=0, n=-1"),
+        (ord_binomial, (-2, -3, 3), "need 0 <= k <= n, got k=-3, n=-2"),
+        (ord_binomial, (10, 11, 4), "need 0 <= k <= n, got k=11, n=10"),
+        (ord_factorial, (10, 9), "p must be prime, got 9"),
+        (ord_factorial, (-1, 3), "expected a non-negative integer, got -1"),
+        (ord_factorial, (-1, 4), "p must be prime, got 4"),
+    ],
+)
+def test_valuations_check_their_inputs(func, args, message):
+    # the binomial checks (n, k) before p, the factorial p before n
+    with pytest.raises(ValueError) as info:
+        func(*args)
+    assert str(info.value) == message
+
+
+def test_ord_binomial_checks_p_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(arith, "ensure_prime", lambda p: calls.append(p))
+    assert ord_binomial(10, 3, 7) == 0
+    assert ord_binomial(10, 4, 2) == 1
+    assert calls == [7, 2]
 
 
 # --- witness construction --------------------------------------------------

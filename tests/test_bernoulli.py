@@ -1,7 +1,8 @@
 """Tests for exact Bernoulli tables, polynomials, and the two denominator routes."""
 
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -190,6 +191,22 @@ def test_poly_denominator_examples():
     assert poly_denominator(RationalPolynomial(())) == 1
 
 
+def test_polynomial_denominator_is_the_cached_lcm():
+    coeffs = (Fraction(1, 4), 0, Fraction(5, 6), Fraction(7, 9), 2)
+    f = RationalPolynomial.from_coeffs(coeffs)
+    twin = RationalPolynomial.from_coeffs(coeffs)
+    before = hash(f)
+    assert f.denominator == lcm(4, 1, 6, 9, 1) == 36
+    assert "denominator" in vars(f)
+    assert f == twin and hash(f) == before == hash(twin)
+    assert "denominator" not in vars(twin)
+    assert poly_denominator(f) == 36
+    assert RationalPolynomial(()).denominator == 1
+    for n in range(1, 61):
+        g = bernoulli_poly_no_constant(n)
+        assert poly_denominator(g) == lcm(*(c.denominator for c in g.coeffs))
+
+
 def test_rational_polynomial_normalization():
     f = RationalPolynomial.from_coeffs([Fraction(1, 2), 3, 0, 0])
     assert f.degree == 1
@@ -241,6 +258,12 @@ def test_ord_poly_matches_the_all_coefficient_minimum():
         ((0, 25, Fraction(125, 7)), 5, 2),
         ((Fraction(4, 7), 8, 0), 2, 2),
         ((Fraction(4, 7), 3, 0), 2, 0),
+        # p in two denominators to different powers: the larger one counts
+        ((Fraction(1, 4), Fraction(1, 8)), 2, -3),
+        ((Fraction(1, 8), 0, Fraction(3, 4), 5), 2, -3),
+        ((Fraction(1, 9), Fraction(2, 3), Fraction(5, 27), Fraction(1, 2)), 3, -3),
+        ((Fraction(1, 9), Fraction(2, 3), Fraction(5, 27), Fraction(1, 2)), 2, -1),
+        ((Fraction(1, 10), Fraction(7, 250), Fraction(3, 4)), 5, -3),
     ],
 )
 def test_ord_poly_hand_built(coeffs, p, expected):
@@ -327,6 +350,34 @@ def test_search_bound_is_lossless():
         wide = tuple(p for p in primes_up_to(n) if digit_sum(n, p) >= p)
         assert narrow.primes == wide
         assert all(p <= prime_search_bound(n) for p in narrow.primes)
+
+
+def _full_sieve_primes(n, primes):
+    # every prime up to n, with its base-p digit sum taken here
+    qualifying = []
+    for p in primes:
+        if p > n:
+            break
+        total, m = 0, n
+        while m:
+            m, d = divmod(m, p)
+            total += d
+        if total >= p:
+            qualifying.append(p)
+    return tuple(qualifying)
+
+
+def test_seeded_differential_of_the_three_routes():
+    # the formula route against a full-sieve digit-sum reference at random n
+    # up to 10^5, and both against the oracle (brute-force lcm) up to 600
+    rng = random.Random(20170501)
+    primes = primes_up_to(10**5)
+    for n in rng.sample(range(1, 10**5 + 1), 200):
+        assert denom_formula(n).primes == _full_sieve_primes(n, primes), n
+    for n in rng.sample(range(1, 601), 40):
+        fact = denom_formula(n)
+        assert fact.primes == _full_sieve_primes(n, primes), n
+        assert poly_denominator(bernoulli_poly_no_constant(n)) == fact.product, n
 
 
 def test_prime_search_bound():

@@ -431,6 +431,8 @@ def test_format_choices_per_command():
         ("denom", "0"),
         ("bernoulli", "--max", "5001"),
         ("denom", "5001", "--method", "oracle"),
+        ("scan", "10", "--primes", "2,3", "--k-cap", "100000000000000000000"),
+        ("scan", "3", "--primes", "2", "--k-cap", "5001"),
     ],
 )
 def test_domain_errors_give_one_error_line(capsys, argv):
@@ -458,6 +460,40 @@ def test_output_to_missing_directory_is_an_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert not target.exists()
+
+
+def test_output_replaces_a_report_whole_and_leaves_no_temp_files(tmp_path, capsys):
+    target = tmp_path / "r.json"
+    target.write_text("old report\n")
+    code, out, err = run_cli(capsys, "denom", "5", "--output", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert json.loads(target.read_text())["result"]["agree"] is True
+    assert sorted(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("step", ["fsync", "replace"])
+def test_failed_output_keeps_the_old_report(tmp_path, capsys, monkeypatch, step):
+    def fail(*args):
+        raise OSError(5, "Input/output error")
+
+    target = tmp_path / "r.json"
+    target.write_text("old report\n")
+    monkeypatch.setattr(os, step, fail)
+    code, out, err = run_cli(capsys, "denom", "5", "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 5] Input/output error: {str(target)!r}\n"
+    assert target.read_text() == "old report\n"
+    assert sorted(tmp_path.iterdir()) == [target]
+
+
+def test_output_onto_a_directory_is_an_error(tmp_path, capsys):
+    target = tmp_path / "r.json"
+    target.mkdir()
+    code, out, err = run_cli(capsys, "denom", "5", "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
+    assert sorted(tmp_path.iterdir()) == [target]
+    assert list(target.iterdir()) == []
 
 
 def test_results_beyond_the_int_str_digit_limit_print_exactly(capsys):

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from berndenom import verify
+from berndenom import arith, verify
 from berndenom.arith import digit_sum, frac_sum, primes_up_to
 from berndenom.bernoulli import bernoulli_poly_no_constant, poly_denominator
 from berndenom.verify import (
@@ -135,6 +135,15 @@ def test_binomial_valuations_pass_small_range():
     report = verify_binomial_valuations(0, 60)
     assert report.passed
     assert report.cases_total == 6 * sum(n + 1 for n in range(61))
+
+
+def test_binomial_sweep_checks_each_prime_three_times_per_case(monkeypatch):
+    # one check in each of ord_binomial, kummer_carries and lucas_binom_mod
+    calls = []
+    monkeypatch.setattr(arith, "ensure_prime", calls.append)
+    report = verify_binomial_valuations(0, 12)
+    assert report.passed
+    assert len(calls) == 3 * report.cases_total
 
 
 # --- the suite runner ---------------------------------------------------------------
@@ -295,6 +304,25 @@ def test_power_scan_rejects_bad_input():
         power_scan(10, [])
     with pytest.raises(ValueError):
         power_scan(10, [3], 0)
+
+
+def test_scans_past_the_bit_limit_are_refused_before_any_digit_sum(monkeypatch):
+    def no_digit_sums(n, p):
+        raise AssertionError("a refused scan must not take digit sums")
+
+    monkeypatch.setattr(verify, "digit_sum", no_digit_sums)
+    limit = verify.SCAN_MAX_BITS
+    for n, k_cap in ((10, 10**18), (3, limit // 2 + 1), (2**limit + 1, 1)):
+        with pytest.raises(ValueError, match="scan limit"):
+            power_scan(n, [5], k_cap)
+        with pytest.raises(ValueError, match="scan limit"):
+            digit_sum_growth(n, 5, k_cap)
+
+
+def test_scans_at_the_bit_limit_run():
+    limit = verify.SCAN_MAX_BITS
+    assert power_scan(3, [2, 5], limit // 2).min_k == {2: 1, 5: 2}
+    assert digit_sum_growth(2 ** (limit - 1) + 1, 3, 1).samples[0][0] == 1
 
 
 def test_is_power_of():
