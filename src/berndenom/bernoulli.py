@@ -130,12 +130,9 @@ class RationalPolynomial:
         return Fraction(0)
 
     @cached_property
-    def denominator(self) -> int:
-        """Lcm of the reduced coefficient denominators; 1 for zero.
-
-        Computed on first read and kept on the instance; it is not a field,
-        so equality and hashing still see the coefficients alone.
-        """
+    def _lcm(self) -> int:
+        # poly_denominator's value, computed on first read and kept on the
+        # instance; not a field, so equality and hashing see only coeffs
         return lcm(*(c.denominator for c in self.coeffs))
 
 
@@ -181,7 +178,7 @@ def bernoulli_poly_p_part(n: int, p: int) -> RationalPolynomial:
 
 def poly_denominator(f: RationalPolynomial) -> int:
     """Lcm of the reduced coefficient denominators; 1 for the zero polynomial."""
-    return f.denominator
+    return f._lcm
 
 
 def ord_rational(q: Fraction, p: int) -> Valuation:
@@ -199,8 +196,8 @@ def ord_poly(f: RationalPolynomial, p: int) -> Valuation:
     # denominator, so a denominator divisible by p settles the sign of the
     # minimum. The p-part of an lcm is the largest p-part of its terms, so
     # the polynomial's lcm gives that minimum, -ord_p of the lcm, at once.
-    if f.denominator % p == 0:
-        return -_ord_abs(f.denominator, p)
+    if f._lcm % p == 0:
+        return -_ord_abs(f._lcm, p)
     # No p in any denominator: the minimum is 0 at the first nonzero
     # numerator p does not divide, else the least numerator valuation.
     best: Valuation = INFINITY

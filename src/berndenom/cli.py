@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 import time
 
@@ -280,23 +281,39 @@ def _render(record: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _write_atomically(path: str, text: str) -> None:
-    # a temp file beside the target, renamed over it: the target holds its old
-    # content or the whole report, never a part of it. Any failure is reported
-    # against the target, and the temp file is gone on every path out.
-    head, tail = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+def _write_output(path: str, text: str) -> None:
+    # A regular or new file gets a temp file beside its resolved path, renamed
+    # over it with the old file's mode: the target holds its old content or
+    # the whole report, never a part of it, and a symlink stays a symlink. A
+    # device, FIFO or other special file is written through, as is. Any
+    # failure is reported against the given path, and the temp file is gone
+    # on every path out.
+    target = os.path.realpath(path)
+    tmp = None
     try:
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return
+        head, tail = os.path.split(target)
+        tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
         with open(tmp, "x", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, target)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        if tmp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -324,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         text = _render(record, args.format)
         if args.output:
-            _write_atomically(args.output, text)
+            _write_output(args.output, text)
         else:
             sys.stdout.write(text)
     except (ValueError, OSError) as exc:

@@ -53,13 +53,14 @@ __all__ = [
 
 DEFAULT_K_CAP = 64
 
-# Largest bit length a scan's top power n^k_cap may reach, taken as the upper
-# bound k_cap * n.bit_length(); larger scans are refused before any power is
-# built. digit_sum is quadratic in the length of its input, so a scan costs
-# about the cube of this. The dearest accepted series, digit_sum_growth(3, 2,
-# 5000), takes about 19 s (CPython 3.11.7, 2-vCPU x86-64 host), less than the
-# about 22 s of `verify all --max-n VERIFY_MAX_N` there.
-SCAN_MAX_BITS = 10_000
+# Largest bit length a scanned power n^k may have; a scan that reaches a
+# longer power is refused before taking its digit sums, and an n that is
+# longer already before any work. digit_sum is quadratic in the length of its
+# input, so a scan costs about the cube of this. The dearest series accepted,
+# digit_sum_growth(3, 2, 5168) or digit_sum_growth(2, 3, 8191), takes about
+# 20 s (CPython 3.11.7, 2-vCPU x86-64 host), less than the about 22 s of
+# `verify all --max-n VERIFY_MAX_N` there.
+SCAN_MAX_BITS = 8192
 
 # Largest n_max run_suite accepts. `verify all --max-n 1000 --jobs 2` takes
 # about 22 s in-program (19 to 32 s over four runs; CPython 3.11.7, 2-vCPU
@@ -296,13 +297,24 @@ def _check_scan(n: int, k_cap: int) -> None:
         raise ValueError(f"n must be > 1, got {n}")
     if k_cap < 1:
         raise ValueError(f"k_cap must be >= 1, got {k_cap}")
-    bits = k_cap * n.bit_length()
-    if bits > SCAN_MAX_BITS:
+    if n.bit_length() > SCAN_MAX_BITS:
         # n itself may be too long to print
         raise ValueError(
-            f"n^{k_cap} for an n of {n.bit_length()} bits may have up to {bits} "
-            f"bits, above the scan limit of {SCAN_MAX_BITS}; lower k_cap"
+            f"n has {n.bit_length()} bits, above the scan limit of {SCAN_MAX_BITS}"
         )
+
+
+def _powers(n: int, k_cap: int):
+    """Yield (k, n^k) for k = 1..k_cap; raise at a power past SCAN_MAX_BITS bits."""
+    nk = 1
+    for k in range(1, k_cap + 1):
+        nk *= n
+        if nk.bit_length() > SCAN_MAX_BITS:
+            raise ValueError(
+                f"n^{k} has {nk.bit_length()} bits, above the scan limit of "
+                f"{SCAN_MAX_BITS}; lower k_cap"
+            )
+        yield k, nk
 
 
 @dataclass(frozen=True)
@@ -328,8 +340,8 @@ def power_scan(n: int, prime_set, k_cap: int = DEFAULT_K_CAP) -> PowerScanResult
     digit_sum(n^k, p) >= p is exactly the condition for p to divide the
     constant-free Bernoulli denominator at index n^k. Raises when n is a pure
     power of some listed p, since then every n^k has a single nonzero base-p
-    digit and the criterion can never be met, and when n^k_cap may exceed
-    SCAN_MAX_BITS bits.
+    digit and the criterion can never be met, and when it reaches a power
+    n^k of more than SCAN_MAX_BITS bits before every prime has passed.
     """
     _check_scan(n, k_cap)
     primes = tuple(sorted(set(prime_set)))
@@ -344,9 +356,7 @@ def power_scan(n: int, prime_set, k_cap: int = DEFAULT_K_CAP) -> PowerScanResult
             )
     found: dict[int, int | None] = {p: None for p in primes}
     pending = set(primes)
-    nk = 1
-    for k in range(1, k_cap + 1):
-        nk *= n
+    for k, nk in _powers(n, k_cap):
         for p in sorted(pending):
             if digit_sum(nk, p) >= p:
                 found[p] = k
@@ -377,7 +387,7 @@ class DigitSumGrowth:
 def digit_sum_growth(n: int, p: int, k_cap: int = DEFAULT_K_CAP) -> DigitSumGrowth:
     """The series digit_sum(n^k, p) for k = 1..k_cap, with running maximum.
 
-    Refused, like power_scan, when n^k_cap may exceed SCAN_MAX_BITS bits.
+    Refused, like power_scan, at a power n^k of more than SCAN_MAX_BITS bits.
     """
     ensure_prime(p)
     _check_scan(n, k_cap)
@@ -389,9 +399,7 @@ def digit_sum_growth(n: int, p: int, k_cap: int = DEFAULT_K_CAP) -> DigitSumGrow
     samples = []
     running = []
     best = 0
-    nk = 1
-    for k in range(1, k_cap + 1):
-        nk *= n
+    for k, nk in _powers(n, k_cap):
         s = digit_sum(nk, p)
         samples.append((k, s))
         best = max(best, s)

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from berndenom import bernoulli as btable
 from berndenom.arith import MILLER_RABIN_LIMIT
 from berndenom.bernoulli import bernoulli_numbers, denom_formula
 from berndenom.cli import build_parser, main
-from berndenom.verify import VERIFY_MAX_N
+from berndenom.verify import SCAN_MAX_BITS, VERIFY_MAX_N
 
 
 def run_cli(capsys, *argv):
@@ -301,6 +302,15 @@ def test_scan_plain(capsys):
     )
 
 
+def test_scan_with_a_k_cap_past_the_bit_limit_stops_early(capsys):
+    code, record = run_json(
+        capsys, "scan", "10", "--primes", "2,3", "--k-cap", "100000000000000000000"
+    )
+    assert code == 0
+    assert record["result"]["min_k"] == {"2": 1, "3": 2}
+    assert record["result"]["M"] == 2
+
+
 def test_scan_capped_exit_code(capsys):
     code, record = run_json(capsys, "scan", "7", "--primes", "5", "--k-cap", "1")
     assert code == 3
@@ -431,8 +441,9 @@ def test_format_choices_per_command():
         ("denom", "0"),
         ("bernoulli", "--max", "5001"),
         ("denom", "5001", "--method", "oracle"),
-        ("scan", "10", "--primes", "2,3", "--k-cap", "100000000000000000000"),
-        ("scan", "3", "--primes", "2", "--k-cap", "5001"),
+        # p = 3 is still pending when the scan reaches n^2, past the bit limit
+        ("scan", str(2 * 3 ** (SCAN_MAX_BITS // 3)), "--primes", "3", "--k-cap", "10"),
+        ("scan", str(2**SCAN_MAX_BITS + 1), "--primes", "3"),
     ],
 )
 def test_domain_errors_give_one_error_line(capsys, argv):
@@ -484,6 +495,46 @@ def test_failed_output_keeps_the_old_report(tmp_path, capsys, monkeypatch, step)
     assert err == f"error: [Errno 5] Input/output error: {str(target)!r}\n"
     assert target.read_text() == "old report\n"
     assert sorted(tmp_path.iterdir()) == [target]
+
+
+def test_output_keeps_the_mode_of_an_existing_report(tmp_path, capsys):
+    target = tmp_path / "r.json"
+    target.write_text("old report\n")
+    target.chmod(0o600)
+    assert run_cli(capsys, "denom", "5", "--output", str(target)) == (0, "", "")
+    assert json.loads(target.read_text())["result"]["agree"] is True
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_output_writes_through_a_symlink(tmp_path, capsys, existing):
+    report = tmp_path / "reports" / "r.json"
+    report.parent.mkdir()
+    if existing:
+        report.write_text("old report\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(report)
+    assert run_cli(capsys, "denom", "5", "--output", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(report)
+    assert json.loads(report.read_text())["result"]["agree"] is True
+    assert sorted(tmp_path.iterdir()) == [link, report.parent]
+    assert list(report.parent.iterdir()) == [report]
+
+
+def test_output_writes_into_a_fifo(tmp_path, capsys):
+    # a special file is written through, not replaced; the reader is opened
+    # first and non-blocking, so neither side waits
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(capsys, "denom", "5", "--output", str(fifo)) == (0, "", "")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        record = json.loads(os.read(reader, 1 << 16))
+    finally:
+        os.close(reader)
+    assert record["result"]["agree"] is True
+    assert sorted(tmp_path.iterdir()) == [fifo]
 
 
 def test_output_onto_a_directory_is_an_error(tmp_path, capsys):

@@ -306,22 +306,45 @@ def test_power_scan_rejects_bad_input():
         power_scan(10, [3], 0)
 
 
-def test_scans_past_the_bit_limit_are_refused_before_any_digit_sum(monkeypatch):
-    def no_digit_sums(n, p):
-        raise AssertionError("a refused scan must not take digit sums")
+def test_scans_stop_at_the_first_power_past_the_bit_limit(monkeypatch):
+    lengths = []
 
-    monkeypatch.setattr(verify, "digit_sum", no_digit_sums)
+    def counted_digit_sum(n, p):
+        lengths.append(n.bit_length())
+        return digit_sum(n, p)
+
+    monkeypatch.setattr(verify, "digit_sum", counted_digit_sum)
     limit = verify.SCAN_MAX_BITS
-    for n, k_cap in ((10, 10**18), (3, limit // 2 + 1), (2**limit + 1, 1)):
-        with pytest.raises(ValueError, match="scan limit"):
-            power_scan(n, [5], k_cap)
-        with pytest.raises(ValueError, match="scan limit"):
-            digit_sum_growth(n, 5, k_cap)
+    # 2 * 3^m has base-3 digit sum 2, so p = 3 is still pending after k = 1,
+    # and its square is past the limit: one digit sum, then the refusal
+    n = 2 * 3 ** (limit // 3)
+    assert n.bit_length() <= limit < (n * n).bit_length()
+    with pytest.raises(ValueError, match=r"n\^2 has \d+ bits, above the scan limit"):
+        power_scan(n, [3], 10**20)
+    assert lengths == [n.bit_length()]
+    lengths.clear()
+    with pytest.raises(ValueError, match=r"n\^2 has \d+ bits, above the scan limit"):
+        digit_sum_growth(n, 5, 2)
+    assert lengths == [n.bit_length()]
+    # an n past the limit is refused before any other work
+    lengths.clear()
+    with pytest.raises(ValueError, match="n has 8193 bits, above the scan limit"):
+        power_scan(2**limit + 1, [5], 1)
+    with pytest.raises(ValueError, match="n has 8193 bits, above the scan limit"):
+        digit_sum_growth(2**limit + 1, 5, 1)
+    assert lengths == []
 
 
 def test_scans_at_the_bit_limit_run():
     limit = verify.SCAN_MAX_BITS
-    assert power_scan(3, [2, 5], limit // 2).min_k == {2: 1, 5: 2}
+    # a k_cap far past the limit is no bar to a scan that finishes early
+    assert power_scan(10, [2, 3], 10**20).threshold == 2
+    at = math.isqrt(2 ** (limit - 1)) + 1
+    past = math.isqrt(2**limit) + 1
+    assert (at * at).bit_length() == limit < (past * past).bit_length()
+    assert [k for k, _ in digit_sum_growth(at, 3, 2).samples] == [1, 2]
+    with pytest.raises(ValueError, match="scan limit"):
+        digit_sum_growth(past, 3, 2)
     assert digit_sum_growth(2 ** (limit - 1) + 1, 3, 1).samples[0][0] == 1
 
 
