@@ -1,4 +1,4 @@
-"""Exact base-p digit arithmetic: expansions, valuations, and digit-sum fractions.
+"""Exact base-p digit arithmetic: digit sums, valuations, and digit-sum fractions.
 
 Everything here is computed over arbitrary-precision integers and
 `fractions.Fraction`; no floating point is used in this module.
@@ -6,28 +6,23 @@ Everything here is computed over arbitrary-precision integers and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
 __all__ = [
     "INFINITY",
     "MILLER_RABIN_LIMIT",
-    "DigitExpansion",
     "Valuation",
-    "digit_expansion",
     "digit_sum",
     "ensure_prime",
     "frac_sum",
     "frac_sum_digit",
     "frac_sum_direct",
-    "fracsum_is_integer",
     "is_prime",
     "kummer_carries",
     "lucas_binom_mod",
     "ord_binomial",
     "ord_factorial",
-    "ord_int",
     "primes_up_to",
     "witness_k",
 ]
@@ -126,78 +121,21 @@ def ensure_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
-def _check_base(p: int) -> None:
-    if p < 2:
-        raise ValueError(f"base must be at least 2, got {p}")
-
-
 def _check_natural(n: int) -> None:
     if n < 0:
         raise ValueError(f"expected a non-negative integer, got {n}")
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
-    """Little-endian digits of a natural number in a fixed base; zero is empty."""
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_base(self.base)
-        if any(not 0 <= d < self.base for d in self.digits):
-            raise ValueError("every digit must satisfy 0 <= d < base")
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("highest stored digit must be nonzero")
-
-    @property
-    def length(self) -> int:
-        return len(self.digits)
-
-    @property
-    def digit_sum(self) -> int:
-        return sum(self.digits)
-
-    @property
-    def value(self) -> int:
-        n = 0
-        for d in reversed(self.digits):
-            n = n * self.base + d
-        return n
-
-
-def digit_expansion(n: int, p: int) -> DigitExpansion:
-    """Expand n in base p, least significant digit first.
-
-    The base must be at least 2 but need not be prime; primality is the
-    caller's concern where it matters.
-    """
-    _check_base(p)
-    _check_natural(n)
-    digits = []
-    while n:
-        n, d = divmod(n, p)
-        digits.append(d)
-    return DigitExpansion(p, tuple(digits))
-
-
 def digit_sum(n: int, p: int) -> int:
     """Sum of the base-p digits of n; equals n itself when n < p."""
-    _check_base(p)
+    if p < 2:
+        raise ValueError(f"base must be at least 2, got {p}")
     _check_natural(n)
     total = 0
     while n:
         n, d = divmod(n, p)
         total += d
     return total
-
-
-def ord_int(n: int, p: int) -> Valuation:
-    """Exponent of the prime p in n; INFINITY for n = 0."""
-    ensure_prime(p)
-    if n == 0:
-        return INFINITY
-    return _ord_abs(n, p)
 
 
 def _ord_abs(n: int, p: int) -> int:
@@ -261,14 +199,6 @@ def frac_sum_direct(n: int, p: int) -> Fraction:
         total += Fraction(n % q, q)
         q *= p
     return total
-
-
-def fracsum_is_integer(n: int, p: int) -> bool:
-    """Whether the fractional-part sum for (n, p) is a whole number.
-
-    Holds exactly when p - 1 divides n.
-    """
-    return frac_sum(n, p).denominator == 1
 
 
 def _check_binom_args(n: int, k: int) -> None:

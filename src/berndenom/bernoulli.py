@@ -32,12 +32,10 @@ __all__ = [
     "bernoulli_numbers",
     "bernoulli_poly",
     "bernoulli_poly_no_constant",
-    "bernoulli_poly_p_part",
     "clausen_denominator",
     "denom_formula",
     "denominator_has_prime",
     "ord_poly",
-    "ord_rational",
     "poly_denominator",
     "prime_search_bound",
 ]
@@ -115,20 +113,6 @@ class RationalPolynomial:
             cs.pop()
         return cls(tuple(cs))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial, with -1 standing in for zero."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
-
     @cached_property
     def _lcm(self) -> int:
         # poly_denominator's value, computed on first read and kept on the
@@ -159,34 +143,9 @@ def bernoulli_poly_no_constant(n: int) -> RationalPolynomial:
     return RationalPolynomial(tuple(coeffs))
 
 
-def bernoulli_poly_p_part(n: int, p: int) -> RationalPolynomial:
-    """Terms C(n,k) B_k x^(n-k) over even k in [2, n-1] with p - 1 dividing k.
-
-    These are the only terms of the constant-free Bernoulli polynomial whose
-    coefficients can carry p in the denominator; the result is the zero
-    polynomial when p > n.
-    """
-    ensure_prime(p)
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(2, n, 2):
-        if k % (p - 1) == 0:
-            coeffs[n - k] = comb(n, k) * bernoulli_number(k)
-    return RationalPolynomial.from_coeffs(coeffs)
-
-
 def poly_denominator(f: RationalPolynomial) -> int:
     """Lcm of the reduced coefficient denominators; 1 for the zero polynomial."""
     return f._lcm
-
-
-def ord_rational(q: Fraction, p: int) -> Valuation:
-    """p-adic valuation of an exact rational; INFINITY for zero."""
-    ensure_prime(p)
-    if q == 0:
-        return INFINITY
-    return _ord_abs(q.numerator, p) - _ord_abs(q.denominator, p)
 
 
 def ord_poly(f: RationalPolynomial, p: int) -> Valuation:

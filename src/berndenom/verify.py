@@ -36,10 +36,8 @@ __all__ = [
     "DEFAULT_K_CAP",
     "SUITE_NAMES",
     "VERIFY_MAX_N",
-    "DigitSumGrowth",
     "PowerScanResult",
     "VerificationReport",
-    "digit_sum_growth",
     "is_power_of",
     "merge_reports",
     "power_scan",
@@ -56,10 +54,8 @@ DEFAULT_K_CAP = 64
 # Largest bit length a scanned power n^k may have; a scan that reaches a
 # longer power is refused before taking its digit sums, and an n that is
 # longer already before any work. digit_sum is quadratic in the length of its
-# input, so a scan costs about the cube of this. The dearest series accepted,
-# digit_sum_growth(3, 2, 5168) or digit_sum_growth(2, 3, 8191), takes about
-# 20 s (CPython 3.11.7, 2-vCPU x86-64 host), less than the about 22 s of
-# `verify all --max-n VERIFY_MAX_N` there.
+# input and a scan takes one per pending prime at each power, so a scan costs
+# up to about the cube of this for each listed prime.
 SCAN_MAX_BITS = 8192
 
 # Largest n_max run_suite accepts. `verify all --max-n 1000 --jobs 2` takes
@@ -292,31 +288,6 @@ def is_power_of(n: int, p: int) -> bool:
     return n == 1
 
 
-def _check_scan(n: int, k_cap: int) -> None:
-    if n <= 1:
-        raise ValueError(f"n must be > 1, got {n}")
-    if k_cap < 1:
-        raise ValueError(f"k_cap must be >= 1, got {k_cap}")
-    if n.bit_length() > SCAN_MAX_BITS:
-        # n itself may be too long to print
-        raise ValueError(
-            f"n has {n.bit_length()} bits, above the scan limit of {SCAN_MAX_BITS}"
-        )
-
-
-def _powers(n: int, k_cap: int):
-    """Yield (k, n^k) for k = 1..k_cap; raise at a power past SCAN_MAX_BITS bits."""
-    nk = 1
-    for k in range(1, k_cap + 1):
-        nk *= n
-        if nk.bit_length() > SCAN_MAX_BITS:
-            raise ValueError(
-                f"n^{k} has {nk.bit_length()} bits, above the scan limit of "
-                f"{SCAN_MAX_BITS}; lower k_cap"
-            )
-        yield k, nk
-
-
 @dataclass(frozen=True)
 class PowerScanResult:
     """Per-prime minimal exponents k with digit_sum(n^k, p) >= p.
@@ -343,7 +314,15 @@ def power_scan(n: int, prime_set, k_cap: int = DEFAULT_K_CAP) -> PowerScanResult
     digit and the criterion can never be met, and when it reaches a power
     n^k of more than SCAN_MAX_BITS bits before every prime has passed.
     """
-    _check_scan(n, k_cap)
+    if n <= 1:
+        raise ValueError(f"n must be > 1, got {n}")
+    if k_cap < 1:
+        raise ValueError(f"k_cap must be >= 1, got {k_cap}")
+    if n.bit_length() > SCAN_MAX_BITS:
+        # n itself may be too long to print
+        raise ValueError(
+            f"n has {n.bit_length()} bits, above the scan limit of {SCAN_MAX_BITS}"
+        )
     primes = tuple(sorted(set(prime_set)))
     if not primes:
         raise ValueError("prime_set must not be empty")
@@ -356,7 +335,14 @@ def power_scan(n: int, prime_set, k_cap: int = DEFAULT_K_CAP) -> PowerScanResult
             )
     found: dict[int, int | None] = {p: None for p in primes}
     pending = set(primes)
-    for k, nk in _powers(n, k_cap):
+    nk = 1
+    for k in range(1, k_cap + 1):
+        nk *= n
+        if nk.bit_length() > SCAN_MAX_BITS:
+            raise ValueError(
+                f"n^{k} has {nk.bit_length()} bits, above the scan limit of "
+                f"{SCAN_MAX_BITS}; lower k_cap"
+            )
         for p in sorted(pending):
             if digit_sum(nk, p) >= p:
                 found[p] = k
@@ -366,46 +352,6 @@ def power_scan(n: int, prime_set, k_cap: int = DEFAULT_K_CAP) -> PowerScanResult
     capped = bool(pending)
     threshold = None if capped else max(v for v in found.values() if v is not None)
     return PowerScanResult(n, primes, found, threshold, k_cap, capped)
-
-
-@dataclass(frozen=True)
-class DigitSumGrowth:
-    """Digit sums of successive powers with their running maximum.
-
-    A finite sample can only suggest unbounded growth, never establish it;
-    strictly_increasing is True only when every sampled power sets a new
-    record, and the raw samples are kept for any other diagnostic.
-    """
-
-    n: int
-    p: int
-    samples: tuple[tuple[int, int], ...]
-    running_max: tuple[int, ...]
-    strictly_increasing: bool
-
-
-def digit_sum_growth(n: int, p: int, k_cap: int = DEFAULT_K_CAP) -> DigitSumGrowth:
-    """The series digit_sum(n^k, p) for k = 1..k_cap, with running maximum.
-
-    Refused, like power_scan, at a power n^k of more than SCAN_MAX_BITS bits.
-    """
-    ensure_prime(p)
-    _check_scan(n, k_cap)
-    if is_power_of(n, p):
-        raise ValueError(
-            f"{n} is a power of {p}: the base-{p} digit sum of its powers is "
-            f"constant 1"
-        )
-    samples = []
-    running = []
-    best = 0
-    for k, nk in _powers(n, k_cap):
-        s = digit_sum(nk, p)
-        samples.append((k, s))
-        best = max(best, s)
-        running.append(best)
-    strictly = all(a < b for a, b in zip(running, running[1:]))
-    return DigitSumGrowth(n, p, tuple(samples), tuple(running), strictly)
 
 
 def stewart_bound(n: int, c: float) -> float:

@@ -15,12 +15,10 @@ from berndenom.bernoulli import (
     bernoulli_numbers,
     bernoulli_poly,
     bernoulli_poly_no_constant,
-    bernoulli_poly_p_part,
     clausen_denominator,
     denom_formula,
     denominator_has_prime,
     ord_poly,
-    ord_rational,
     poly_denominator,
     prime_search_bound,
 )
@@ -154,7 +152,7 @@ def test_bernoulli_poly_examples():
 def test_bernoulli_poly_shape():
     for n in range(41):
         f = bernoulli_poly(n)
-        assert f.degree == n
+        assert len(f.coeffs) == n + 1
         assert f.coeffs[-1] == 1
 
 
@@ -180,9 +178,9 @@ def test_no_constant_drops_exactly_the_constant():
     for n in range(1, 41):
         full = bernoulli_poly(n)
         bare = bernoulli_poly_no_constant(n)
-        assert bare.coefficient(0) == 0
+        assert bare.coeffs[0] == 0
         assert bare.coeffs[1:] == full.coeffs[1:]
-        assert bare.degree == n
+        assert len(bare.coeffs) == n + 1
 
 
 def test_poly_denominator_examples():
@@ -209,19 +207,12 @@ def test_polynomial_denominator_is_the_cached_lcm():
 
 def test_rational_polynomial_normalization():
     f = RationalPolynomial.from_coeffs([Fraction(1, 2), 3, 0, 0])
-    assert f.degree == 1
-    assert f.coefficient(5) == 0
-    zero = RationalPolynomial.from_coeffs([0, 0])
-    assert zero.is_zero and zero.degree == -1
+    assert f.coeffs == (Fraction(1, 2), Fraction(3))
+    assert all(isinstance(c, Fraction) for c in f.coeffs)
+    assert RationalPolynomial.from_coeffs([0, 0]).coeffs == ()
 
 
 # --- valuations of polynomials -------------------------------------------------
-
-
-def test_ord_rational():
-    assert ord_rational(Fraction(3, 4), 2) == -2
-    assert ord_rational(Fraction(9, 5), 3) == 2
-    assert ord_rational(Fraction(0), 7) is INFINITY
 
 
 def test_ord_poly_examples():
@@ -271,17 +262,20 @@ def test_ord_poly_hand_built(coeffs, p, expected):
     assert ord_poly(f, p) == _ord_poly_reference(f, p) == expected
 
 
-def test_p_part_structure():
-    nine_five = bernoulli_poly_p_part(9, 5)
-    assert {j for j, c in enumerate(nine_five.coeffs) if c} == {1, 5}
-    nine_two = bernoulli_poly_p_part(9, 2)
-    assert {j for j, c in enumerate(nine_two.coeffs) if c} == {1, 3, 5, 7}
-    for n in (3, 4, 9):
-        for p in primes_up_to(40):
-            if p > n:
-                assert bernoulli_poly_p_part(n, p).is_zero
-    with pytest.raises(ValueError):
-        bernoulli_poly_p_part(2, 3)
+def _p_part(n, p):
+    # the terms C(n,k) B_k x^(n-k) over even k in [2, n-1] with p - 1 dividing
+    # k: the only terms of the constant-free polynomial whose coefficients can
+    # carry p in the denominator
+    coeffs = [0] * (n + 1)
+    for k in range(2, n, 2):
+        if k % (p - 1) == 0:
+            coeffs[n - k] = comb(n, k) * bernoulli_number(k)
+    return RationalPolynomial.from_coeffs(coeffs)
+
+
+def _ord_half(n, p):
+    # ord_p(n/2) for n >= 1, the valuation of the x^(n-1) coefficient
+    return _ord_abs(n, p) - _ord_abs(2, p)
 
 
 def test_poly_valuation_invariants_full_range():
@@ -291,22 +285,15 @@ def test_poly_valuation_invariants_full_range():
     # and the overall valuation stays in {-1, 0} (squarefree denominator)
     for n in range(3, 301):
         bare = bernoulli_poly_no_constant(n)
-        half = Fraction(n, 2)
         for p in primes_up_to(n + 1):
-            part = bernoulli_poly_p_part(n, p)
-            v_part = ord_poly(part, p)
+            v_part = ord_poly(_p_part(n, p), p)
             v_bare = ord_poly(bare, p)
-            assert v_bare == min(0, ord_rational(half, p), v_part)
+            assert v_bare == min(0, _ord_half(n, p), v_part)
             if frac_sum(n, p) > 1:
                 assert v_part == -1
             else:
                 assert v_part >= 0
             assert v_bare == 0 or v_bare == -1
-
-
-def test_p_part_two_adic_valuation_for_odd_n():
-    for n in range(3, 200, 2):
-        assert ord_poly(bernoulli_poly_p_part(n, 2), 2) == -1
 
 
 # --- the denominator formula ----------------------------------------------------

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ from berndenom.arith import MILLER_RABIN_LIMIT
 from berndenom.bernoulli import bernoulli_numbers, denom_formula
 from berndenom.cli import build_parser, main
 from berndenom.verify import SCAN_MAX_BITS, VERIFY_MAX_N
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +32,18 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert err == ""
     return code, json.loads(out)
+
+
+def run_child(*args, timeout=None):
+    """Run a Python child on this checkout's src, put in front of any PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
+    )
 
 
 # --- denom ------------------------------------------------------------------
@@ -95,9 +110,7 @@ def test_denom_reports_a_non_squarefree_oracle_denominator():
         "bernoulli._BERNOULLI[2] = Fraction(1, 4)\n"
         "raise SystemExit(cli.main(['denom', '3', '--method', 'both']))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
-    )
+    proc = run_child("-c", script, timeout=60)
     assert (proc.returncode, proc.stderr) == (2, "")
     result = json.loads(proc.stdout)["result"]
     assert result["oracle"] == {"primes": [2], "product": 4}
@@ -154,12 +167,7 @@ def test_frac_rejects_composite(capsys):
 
 def test_frac_with_a_large_prime_answers_quickly():
     # trial division to sqrt(p) would run for years here
-    done = subprocess.run(
-        [sys.executable, "-m", "berndenom", "frac", "5", str(10**24 + 7)],
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
+    done = run_child("-m", "berndenom", "frac", "5", str(10**24 + 7), timeout=30)
     assert done.returncode == 0, done.stderr
     record = json.loads(done.stdout)
     assert record["result"]["value"] == f"5/{10**24 + 6}"
@@ -583,20 +591,12 @@ def test_repeated_runs_identical_modulo_meta(capsys):
     assert json.dumps(first, indent=2) == json.dumps(second, indent=2)
 
 
-# --- the installed entry point ---------------------------------------------------------
+# --- the module entry point ------------------------------------------------------------
 
 
 def test_subprocess_exit_codes():
-    ok = subprocess.run(
-        [sys.executable, "-m", "berndenom", "denom", "5", "--method", "both"],
-        capture_output=True,
-        text=True,
-    )
+    ok = run_child("-m", "berndenom", "denom", "5", "--method", "both")
     assert ok.returncode == 0
     assert json.loads(ok.stdout)["result"]["agree"] is True
-    bad = subprocess.run(
-        [sys.executable, "-m", "berndenom", "frac", "9", "4"],
-        capture_output=True,
-        text=True,
-    )
+    bad = run_child("-m", "berndenom", "frac", "9", "4")
     assert bad.returncode == 1

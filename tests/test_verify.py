@@ -1,4 +1,4 @@
-"""Tests for the verification suites, the power scan, and growth diagnostics."""
+"""Tests for the verification suites, the power scan, and the display bound."""
 
 import math
 import multiprocessing
@@ -10,9 +10,7 @@ from berndenom import arith, verify
 from berndenom.arith import digit_sum, frac_sum, primes_up_to
 from berndenom.bernoulli import bernoulli_poly_no_constant, poly_denominator
 from berndenom.verify import (
-    DigitSumGrowth,
     VerificationReport,
-    digit_sum_growth,
     is_power_of,
     merge_reports,
     power_scan,
@@ -306,7 +304,9 @@ def test_power_scan_rejects_bad_input():
         power_scan(10, [3], 0)
 
 
-def test_scans_stop_at_the_first_power_past_the_bit_limit(monkeypatch):
+@pytest.fixture
+def digit_sum_lengths(monkeypatch):
+    """Bit lengths of the numbers the scan takes digit sums of, in order."""
     lengths = []
 
     def counted_digit_sum(n, p):
@@ -314,6 +314,17 @@ def test_scans_stop_at_the_first_power_past_the_bit_limit(monkeypatch):
         return digit_sum(n, p)
 
     monkeypatch.setattr(verify, "digit_sum", counted_digit_sum)
+    return lengths
+
+
+# c * 5^m has the base-5 digits of c, so for c = 4 (4 = 4_5, 16 = 31_5) and
+# c = 6 (6 = 11_5, 36 = 121_5) the digit sums of n and n^2 stay below 5 and
+# p = 5 is still pending at k = 2; the squares have 8192 and 8193 bits
+AT_THE_LIMIT = 4 * 5**1763
+PAST_THE_LIMIT = 6 * 5**1763
+
+
+def test_scans_stop_at_the_first_power_past_the_bit_limit(digit_sum_lengths):
     limit = verify.SCAN_MAX_BITS
     # 2 * 3^m has base-3 digit sum 2, so p = 3 is still pending after k = 1,
     # and its square is past the limit: one digit sum, then the refusal
@@ -321,31 +332,33 @@ def test_scans_stop_at_the_first_power_past_the_bit_limit(monkeypatch):
     assert n.bit_length() <= limit < (n * n).bit_length()
     with pytest.raises(ValueError, match=r"n\^2 has \d+ bits, above the scan limit"):
         power_scan(n, [3], 10**20)
-    assert lengths == [n.bit_length()]
-    lengths.clear()
-    with pytest.raises(ValueError, match=r"n\^2 has \d+ bits, above the scan limit"):
-        digit_sum_growth(n, 5, 2)
-    assert lengths == [n.bit_length()]
+    assert digit_sum_lengths == [n.bit_length()]
+    # one bit past the limit at n^2 is refused the same way
+    digit_sum_lengths.clear()
+    n = PAST_THE_LIMIT
+    assert (n * n).bit_length() == limit + 1
+    with pytest.raises(ValueError, match=r"n\^2 has 8193 bits, above the scan limit"):
+        power_scan(n, [5], 2)
+    assert digit_sum_lengths == [n.bit_length()]
     # an n past the limit is refused before any other work
-    lengths.clear()
+    digit_sum_lengths.clear()
     with pytest.raises(ValueError, match="n has 8193 bits, above the scan limit"):
         power_scan(2**limit + 1, [5], 1)
-    with pytest.raises(ValueError, match="n has 8193 bits, above the scan limit"):
-        digit_sum_growth(2**limit + 1, 5, 1)
-    assert lengths == []
+    assert digit_sum_lengths == []
 
 
-def test_scans_at_the_bit_limit_run():
+def test_scans_at_the_bit_limit_run(digit_sum_lengths):
     limit = verify.SCAN_MAX_BITS
     # a k_cap far past the limit is no bar to a scan that finishes early
     assert power_scan(10, [2, 3], 10**20).threshold == 2
-    at = math.isqrt(2 ** (limit - 1)) + 1
-    past = math.isqrt(2**limit) + 1
-    assert (at * at).bit_length() == limit < (past * past).bit_length()
-    assert [k for k, _ in digit_sum_growth(at, 3, 2).samples] == [1, 2]
-    with pytest.raises(ValueError, match="scan limit"):
-        digit_sum_growth(past, 3, 2)
-    assert digit_sum_growth(2 ** (limit - 1) + 1, 3, 1).samples[0][0] == 1
+    n = AT_THE_LIMIT
+    assert (n * n).bit_length() == limit
+    digit_sum_lengths.clear()
+    result = power_scan(n, [5], 2)
+    assert result.capped and result.min_k == {5: None}
+    assert digit_sum_lengths == [n.bit_length(), limit]
+    # an n of exactly the limit runs too
+    assert power_scan(2 ** (limit - 1) + 1, [3], 1).min_k == {3: 1}
 
 
 def test_is_power_of():
@@ -354,39 +367,6 @@ def test_is_power_of():
     assert is_power_of(1, 5)
     assert not is_power_of(12, 2)
     assert not is_power_of(10, 5)
-
-
-# --- growth series ------------------------------------------------------------------------
-
-
-def test_growth_frozen_series():
-    assert digit_sum_growth(10, 3, 5).samples == ((1, 2), (2, 4), (3, 4), (4, 8), (5, 10))
-    assert digit_sum_growth(2, 3, 5).samples == ((1, 2), (2, 2), (3, 4), (4, 4), (5, 4))
-    assert digit_sum_growth(6, 2, 5).samples == ((1, 2), (2, 2), (3, 4), (4, 3), (5, 6))
-
-
-def test_growth_running_max_and_flag():
-    series = digit_sum_growth(10, 3, 5)
-    assert series.running_max == (2, 4, 4, 8, 10)
-    assert not series.strictly_increasing
-    assert digit_sum_growth(10, 3, 2).strictly_increasing
-
-
-def test_growth_ignores_p_power_factors():
-    # digit sums of n^k only depend on the p-free part of n
-    assert digit_sum_growth(12, 3, 12).samples == digit_sum_growth(4, 3, 12).samples
-    assert digit_sum_growth(18, 3, 12).samples == digit_sum_growth(2, 3, 12).samples
-    assert digit_sum_growth(40, 2, 10).samples == digit_sum_growth(5, 2, 10).samples
-
-
-def test_growth_rejects_bad_input():
-    with pytest.raises(ValueError):
-        digit_sum_growth(8, 2, 10)
-    with pytest.raises(ValueError):
-        digit_sum_growth(1, 3, 10)
-    with pytest.raises(ValueError):
-        digit_sum_growth(10, 6, 10)
-    assert isinstance(digit_sum_growth(10, 3, 1), DigitSumGrowth)
 
 
 # --- the display bound ----------------------------------------------------------------------
