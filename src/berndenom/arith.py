@@ -10,9 +10,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 __all__ = [
-    "INFINITY",
     "MILLER_RABIN_LIMIT",
-    "Valuation",
     "digit_sum",
     "ensure_prime",
     "frac_sum",
@@ -26,39 +24,6 @@ __all__ = [
     "primes_up_to",
     "witness_k",
 ]
-
-
-class _PlusInfinity:
-    """Singleton ordered above every integer; the valuation of zero."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return other is self
-
-    def __gt__(self, other: object) -> bool:
-        return other is not self
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-    def __reduce__(self):
-        return (_restore_infinity, ())
-
-
-INFINITY = _PlusInfinity()
-
-Valuation = int | _PlusInfinity
-
-
-def _restore_infinity() -> _PlusInfinity:
-    return INFINITY
 
 
 # Trial division below this bound costs at most 10^4 steps. Above it,
@@ -188,8 +153,6 @@ def frac_sum_direct(n: int, p: int) -> Fraction:
     """
     ensure_prime(p)
     _check_natural(n)
-    if n == 0:
-        return Fraction(0)
     top = 1
     while top * p <= n:
         top *= p

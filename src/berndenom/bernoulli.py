@@ -14,14 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm, prod
 
-from .arith import (
-    INFINITY,
-    Valuation,
-    _ord_abs,
-    digit_sum,
-    ensure_prime,
-    primes_up_to,
-)
+from .arith import _ord_abs, digit_sum, ensure_prime, primes_up_to
 
 __all__ = [
     "DEFAULT_BERNOULLI_CAP",
@@ -102,16 +95,9 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class RationalPolynomial:
-    """Dense exact-rational coefficients, index = power of x; () is zero."""
+    """Dense exact-rational coefficients, index = power of x."""
 
     coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "RationalPolynomial":
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
 
     @cached_property
     def _lcm(self) -> int:
@@ -128,7 +114,7 @@ def bernoulli_poly(n: int) -> RationalPolynomial:
     # every odd B_k past B_1 is zero, so half the products can be skipped;
     # each entry is still read, so a corrupted one reaches the polynomial
     coeffs = [comb(n, k) * b if b else b for k, b in enumerate(table)]
-    return RationalPolynomial.from_coeffs(reversed(coeffs))
+    return RationalPolynomial(tuple(reversed(coeffs)))
 
 
 def bernoulli_poly_no_constant(n: int) -> RationalPolynomial:
@@ -148,8 +134,11 @@ def poly_denominator(f: RationalPolynomial) -> int:
     return f._lcm
 
 
-def ord_poly(f: RationalPolynomial, p: int) -> Valuation:
-    """Minimum p-adic valuation over nonzero coefficients; INFINITY for zero."""
+def ord_poly(f: RationalPolynomial, p: int) -> int:
+    """Minimum p-adic valuation over the nonzero coefficients.
+
+    Raises ValueError for the zero polynomial, which has no finite valuation.
+    """
     ensure_prime(p)
     # A reduced fraction has p in at most one of its numerator and
     # denominator, so a denominator divisible by p settles the sign of the
@@ -159,13 +148,15 @@ def ord_poly(f: RationalPolynomial, p: int) -> Valuation:
         return -_ord_abs(f._lcm, p)
     # No p in any denominator: the minimum is 0 at the first nonzero
     # numerator p does not divide, else the least numerator valuation.
-    best: Valuation = INFINITY
+    valuations = []
     for c in f.coeffs:
         if c:
             if c.numerator % p:
                 return 0
-            best = min(best, _ord_abs(c.numerator, p))
-    return best
+            valuations.append(_ord_abs(c.numerator, p))
+    if not valuations:
+        raise ValueError("the zero polynomial has no finite valuation")
+    return min(valuations)
 
 
 def clausen_denominator(n: int) -> int:

@@ -1,10 +1,10 @@
 """Exhaustive desk-scale verification suites with machine-readable reports.
 
 Each suite sweeps a finite parameter range, records every failing case with
-its witness values, and can be sharded over processes; shard results merge
-associatively, so the outcome is independent of the degree of parallelism.
-A sweep visits n = n_lo, n_lo + step, ... up to n_hi; the sharded runner
-gives each shard one residue class of n.
+its witness values, and can be sharded over processes. A sweep visits
+n = n_lo, n_lo + step, ... up to n_hi; the sharded runner gives each shard one
+residue class of n and rebuilds the serial report from the parts, so the
+report is the same for every degree of parallelism.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "PowerScanResult",
     "VerificationReport",
     "is_power_of",
-    "merge_reports",
     "power_scan",
     "run_suite",
     "stewart_bound",
@@ -216,29 +215,13 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
     return _sweep("binom", n_lo, n_hi, step, detail, check)
 
 
-def merge_reports(reports: list[VerificationReport]) -> VerificationReport:
-    """Combine shard reports of one suite; totals add, failures concatenate."""
-    if not reports:
-        raise ValueError("nothing to merge")
-    suite = reports[0].suite
-    if any(r.suite != suite for r in reports):
-        raise ValueError("cannot merge reports from different suites")
-    return VerificationReport(
-        suite,
-        reports[0].range_checked,
-        sum(r.cases_total for r in reports),
-        [f for r in reports for f in r.failures],
-        sum(r.elapsed for r in reports),
-    )
-
-
 def _suite_shard(suite: str, n_lo: int, n_hi: int, step: int) -> VerificationReport:
     return globals()[_SUITES[suite][0]](n_lo, n_hi, step=step)
 
 
-def run_suite(suite: str, n_max: int, jobs: int | None = None) -> VerificationReport:
-    """Run one named suite over 1..n_max (0..n_max for binom), optionally
-    sharded over processes; the report is identical for every jobs value.
+def run_suite(suite: str, n_max: int, jobs: int) -> VerificationReport:
+    """Run one named suite over 1..n_max (0..n_max for binom), sharded over
+    up to jobs processes; the report is identical for every jobs value.
 
     With k shards, shard i sweeps the n congruent to n_lo + i mod k, so every
     shard gets a like mix of cheap small n and dear large n. At most
@@ -249,8 +232,6 @@ def run_suite(suite: str, n_max: int, jobs: int | None = None) -> VerificationRe
         raise ValueError(f"unknown suite {suite!r}")
     if not 1 <= n_max <= VERIFY_MAX_N:
         raise ValueError(f"n_max must be in [1, {VERIFY_MAX_N}], got {n_max}")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     n_lo = _SUITES[suite][1]
@@ -269,14 +250,17 @@ def run_suite(suite: str, n_max: int, jobs: int | None = None) -> VerificationRe
                     [shards] * shards,
                 )
             )
-        report = merge_reports(parts)
         # shard 0 swept [n_lo, n_max] with step shards; drop the stride from
-        # its text to get the serial one
-        report.range_checked = report.range_checked.replace(f" step {shards},", ",", 1)
-        # each n lies in exactly one shard, and within an n the shard keeps the
-        # serial order (for binom: k, then p), so a stable sort on n alone
-        # restores the serial list; sorting on (n, p) would not
-        report.failures.sort(key=lambda f: f[0])
+        # its text to get the serial one. Each n lies in exactly one shard, and
+        # within an n the shard keeps the serial order (for binom: k, then p),
+        # so a stable sort on n alone restores the serial list; sorting on
+        # (n, p) would not
+        report = VerificationReport(
+            suite,
+            parts[0].range_checked.replace(f" step {shards},", ",", 1),
+            sum(r.cases_total for r in parts),
+            sorted((f for r in parts for f in r.failures), key=lambda f: f[0]),
+        )
     report.elapsed = time.perf_counter() - start
     return report
 

@@ -1,14 +1,12 @@
 """Tests for digit sums, valuations, and digit-sum fractions."""
 
 import math
-import pickle
 from fractions import Fraction
 
 import pytest
 
 from berndenom import arith
 from berndenom.arith import (
-    INFINITY,
     MILLER_RABIN_LIMIT,
     digit_sum,
     frac_sum,
@@ -73,22 +71,6 @@ def test_digit_functions_reject_bad_input():
 
 
 # --- valuations ---------------------------------------------------------
-
-
-def test_infinity_ordering():
-    assert INFINITY > 10**12
-    assert not INFINITY < 10**12
-    assert INFINITY >= INFINITY
-    assert not INFINITY > INFINITY
-    assert INFINITY == INFINITY
-    assert INFINITY != 5
-    assert min(3, INFINITY) == 3
-    assert min(INFINITY, -1) == -1
-    assert max(0, INFINITY) is INFINITY
-
-
-def test_infinity_pickles_to_the_singleton():
-    assert pickle.loads(pickle.dumps(INFINITY)) is INFINITY
 
 
 def test_ord_factorial_examples():

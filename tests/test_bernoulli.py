@@ -7,7 +7,7 @@ from math import comb, lcm
 import pytest
 
 from berndenom import bernoulli as btable
-from berndenom.arith import INFINITY, _ord_abs, digit_sum, frac_sum, primes_up_to
+from berndenom.arith import _ord_abs, digit_sum, frac_sum, primes_up_to
 from berndenom.bernoulli import (
     FORMULA_SIEVE_LIMIT,
     RationalPolynomial,
@@ -191,8 +191,8 @@ def test_poly_denominator_examples():
 
 def test_polynomial_denominator_is_the_cached_lcm():
     coeffs = (Fraction(1, 4), 0, Fraction(5, 6), Fraction(7, 9), 2)
-    f = RationalPolynomial.from_coeffs(coeffs)
-    twin = RationalPolynomial.from_coeffs(coeffs)
+    f = RationalPolynomial(tuple(Fraction(c) for c in coeffs))
+    twin = RationalPolynomial(tuple(Fraction(c) for c in coeffs))
     before = hash(f)
     assert poly_denominator(f) == lcm(4, 1, 6, 9, 1) == 36
     assert "_lcm" in vars(f)
@@ -205,13 +205,6 @@ def test_polynomial_denominator_is_the_cached_lcm():
         assert poly_denominator(g) == lcm(*(c.denominator for c in g.coeffs))
 
 
-def test_rational_polynomial_normalization():
-    f = RationalPolynomial.from_coeffs([Fraction(1, 2), 3, 0, 0])
-    assert f.coeffs == (Fraction(1, 2), Fraction(3))
-    assert all(isinstance(c, Fraction) for c in f.coeffs)
-    assert RationalPolynomial.from_coeffs([0, 0]).coeffs == ()
-
-
 # --- valuations of polynomials -------------------------------------------------
 
 
@@ -219,16 +212,17 @@ def test_ord_poly_examples():
     assert ord_poly(bernoulli_poly_no_constant(3), 2) == -1
     for p in primes_up_to(13):
         assert ord_poly(bernoulli_poly_no_constant(2), p) == 0
-    assert ord_poly(RationalPolynomial(()), 5) is INFINITY
+    with pytest.raises(ValueError, match="zero polynomial"):
+        ord_poly(RationalPolynomial(()), 5)
 
 
 def _ord_poly_reference(f, p):
-    # the all-coefficient minimum: every numerator and denominator is read
-    best = INFINITY
-    for c in f.coeffs:
-        if c:
-            best = min(best, _ord_abs(c.numerator, p) - _ord_abs(c.denominator, p))
-    return best
+    # the all-coefficient minimum: every numerator and denominator is read;
+    # None for the zero polynomial
+    return min(
+        (_ord_abs(c.numerator, p) - _ord_abs(c.denominator, p) for c in f.coeffs if c),
+        default=None,
+    )
 
 
 def test_ord_poly_matches_the_all_coefficient_minimum():
@@ -241,8 +235,9 @@ def test_ord_poly_matches_the_all_coefficient_minimum():
 @pytest.mark.parametrize(
     "coeffs, p, expected",
     [
-        ((), 5, INFINITY),
-        ((0, 0, 0), 3, INFINITY),
+        # the zero polynomial has no valuation
+        ((), 5, pytest.raises(ValueError, match="zero polynomial")),
+        ((0, 0, 0), 3, pytest.raises(ValueError, match="zero polynomial")),
         ((Fraction(1, 3), Fraction(2, 9), 5), 3, -2),
         ((0, Fraction(5, 2), Fraction(1, 18), 0, 7), 3, -2),
         ((9, 0, Fraction(27, 2), 18), 3, 2),
@@ -258,8 +253,13 @@ def test_ord_poly_matches_the_all_coefficient_minimum():
     ],
 )
 def test_ord_poly_hand_built(coeffs, p, expected):
-    f = RationalPolynomial.from_coeffs(coeffs)
-    assert ord_poly(f, p) == _ord_poly_reference(f, p) == expected
+    f = RationalPolynomial(tuple(Fraction(c) for c in coeffs))
+    if isinstance(expected, int):
+        assert ord_poly(f, p) == _ord_poly_reference(f, p) == expected
+    else:
+        assert _ord_poly_reference(f, p) is None
+        with expected:
+            ord_poly(f, p)
 
 
 def _p_part(n, p):
@@ -270,7 +270,7 @@ def _p_part(n, p):
     for k in range(2, n, 2):
         if k % (p - 1) == 0:
             coeffs[n - k] = comb(n, k) * bernoulli_number(k)
-    return RationalPolynomial.from_coeffs(coeffs)
+    return RationalPolynomial(tuple(Fraction(c) for c in coeffs))
 
 
 def _ord_half(n, p):
@@ -282,17 +282,23 @@ def test_poly_valuation_invariants_full_range():
     # one pass over n and p checks: the coefficient-minimum valuation of the
     # constant-free polynomial is min(0, ord(n/2), ord of the p-part); the
     # p-part valuation is -1 exactly when the fractional-part sum exceeds 1;
-    # and the overall valuation stays in {-1, 0} (squarefree denominator)
+    # and the overall valuation stays in {-1, 0} (squarefree denominator). A
+    # zero p-part has no valuation and leaves the sum at most 1
     for n in range(3, 301):
         bare = bernoulli_poly_no_constant(n)
         for p in primes_up_to(n + 1):
-            v_part = ord_poly(_p_part(n, p), p)
+            part = _p_part(n, p)
             v_bare = ord_poly(bare, p)
-            assert v_bare == min(0, _ord_half(n, p), v_part)
-            if frac_sum(n, p) > 1:
-                assert v_part == -1
+            if any(part.coeffs):
+                v_part = ord_poly(part, p)
+                assert v_bare == min(0, _ord_half(n, p), v_part)
+                if frac_sum(n, p) > 1:
+                    assert v_part == -1
+                else:
+                    assert v_part >= 0
             else:
-                assert v_part >= 0
+                assert v_bare == min(0, _ord_half(n, p))
+                assert frac_sum(n, p) <= 1
             assert v_bare == 0 or v_bare == -1
 
 

@@ -8,13 +8,13 @@ from berndenom import arith, bernoulli, verify
 PUBLIC_NAMES = set(
     """
     DEFAULT_BERNOULLI_CAP DEFAULT_K_CAP DenominatorFactorization
-    FORMULA_SIEVE_LIMIT INFINITY MILLER_RABIN_LIMIT PowerScanResult
-    RationalPolynomial SUITE_NAMES VERIFY_MAX_N Valuation VerificationReport
+    FORMULA_SIEVE_LIMIT MILLER_RABIN_LIMIT PowerScanResult
+    RationalPolynomial SUITE_NAMES VERIFY_MAX_N VerificationReport
     __version__ bernoulli_number bernoulli_numbers bernoulli_poly
     bernoulli_poly_no_constant clausen_denominator denom_formula
     denominator_has_prime digit_sum ensure_prime frac_sum frac_sum_digit
     frac_sum_direct is_power_of is_prime kummer_carries lucas_binom_mod
-    merge_reports ord_binomial ord_factorial ord_poly poly_denominator
+    ord_binomial ord_factorial ord_poly poly_denominator
     power_scan prime_search_bound primes_up_to run_suite stewart_bound
     verify_binomial_valuations verify_correspondence verify_prime_bound
     verify_squarefree witness_k
@@ -27,7 +27,7 @@ def test_every_exported_name_resolves_once():
     assert len(names) == len(set(names))
     for name in names:
         getattr(berndenom, name)
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 41
     assert set(names) == PUBLIC_NAMES
 
 

@@ -12,7 +12,6 @@ from berndenom.bernoulli import bernoulli_poly_no_constant, poly_denominator
 from berndenom.verify import (
     VerificationReport,
     is_power_of,
-    merge_reports,
     power_scan,
     VERIFY_MAX_N,
     run_suite,
@@ -32,19 +31,6 @@ def test_report_counts_derive_from_failures():
     assert report.cases_failed == 1
     assert not report.passed
     assert VerificationReport("main", "demo", 10).passed
-
-
-def test_merge_reports():
-    a = VerificationReport("main", "demo", 4, [(1, 2, "x", "y")], 0.5)
-    b = VerificationReport("main", "demo", 6, [], 0.25)
-    merged = merge_reports([a, b])
-    assert merged.cases_total == 10
-    assert merged.failures == [(1, 2, "x", "y")]
-    assert merged.elapsed == 0.75
-    with pytest.raises(ValueError):
-        merge_reports([])
-    with pytest.raises(ValueError):
-        merge_reports([a, VerificationReport("bound", "demo", 1)])
 
 
 # --- the correspondence suite -----------------------------------------------
@@ -213,9 +199,9 @@ def test_sweeps_take_a_stride(sweep, first, detail, cases_at):
 
 def test_run_suite_validates_arguments():
     with pytest.raises(ValueError):
-        run_suite("nope", 10)
+        run_suite("nope", 10, jobs=1)
     with pytest.raises(ValueError):
-        run_suite("main", 0)
+        run_suite("main", 0, jobs=1)
     with pytest.raises(ValueError):
         run_suite("main", 10, jobs=0)
 
