@@ -186,6 +186,11 @@ def kummer_carries(n: int, k: int, p: int) -> int:
     """
     ensure_prime(p)
     _check_binom_args(n, k)
+    return _carries(n, k, p)
+
+
+def _carries(n: int, k: int, p: int) -> int:
+    # 0 <= k <= n and prime p assumed; callers validate
     a, b = k, n - k
     carries = carry = 0
     while a or b or carry:
@@ -203,6 +208,11 @@ def lucas_binom_mod(n: int, k: int, p: int) -> int:
     """
     ensure_prime(p)
     _check_binom_args(n, k)
+    return _lucas(n, k, p)
+
+
+def _lucas(n: int, k: int, p: int) -> int:
+    # 0 <= k <= n and prime p assumed; callers validate
     result = 1
     while n or k:
         nd, kd = n % p, k % p

@@ -1,6 +1,7 @@
 """Tests for digit sums, valuations, and digit-sum fractions."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,40 @@ def test_lucas_matches_comb_mod_and_carry_criterion():
                 residue = lucas_binom_mod(n, k, p)
                 assert residue == math.comb(n, k) % p
                 assert (residue != 0) == (kummer_carries(n, k, p) == 0)
+
+
+def test_binomial_kernels_at_large_seeded_inputs():
+    # the sweeps reach only n <= 1000; here n runs up to 10^30, with
+    # magnitudes spread from 10^0 to 10^30. Legendre's sums and Pascal's rule
+    # are the oracles at every size, the factored big integer wherever it is
+    # cheap to build
+    rng = random.Random(20170613)
+    small = outcomes = 0
+    for p in (2, 3, 5, 7, 97, 9973):
+        for _ in range(200):
+            n = rng.randrange(10 ** rng.randint(0, 30) + 1)
+            if rng.randrange(2):
+                k = rng.randrange(n + 1)
+            else:
+                # digitwise below n, so no carry: a random k almost always
+                # carries once n is large, and then C(n, k) mod p is just 0
+                k = sum(rng.randint(0, d) * p**i for i, d in enumerate(_digits(n, p)))
+            carries = kummer_carries(n, k, p)
+            residue = lucas_binom_mod(n, k, p)
+            assert arith._carries(n, k, p) == carries
+            assert arith._lucas(n, k, p) == residue
+            assert ord_binomial(n, k, p) == carries
+            assert (residue != 0) == (carries == 0)
+            if 0 < k < n:
+                pascal = lucas_binom_mod(n - 1, k - 1, p) + lucas_binom_mod(n - 1, k, p)
+                assert residue == pascal % p
+            outcomes |= 1 << (carries == 0)
+            if n <= 2000:
+                small += 1
+                c = math.comb(n, k)
+                assert carries == _factor_count(c, p)
+                assert residue == c % p
+    assert small >= 100 and outcomes == 3
 
 
 def test_binomial_args_validated():

@@ -121,13 +121,43 @@ def test_binomial_valuations_pass_small_range():
     assert report.cases_total == 6 * sum(n + 1 for n in range(61))
 
 
-def test_binomial_sweep_checks_each_prime_three_times_per_case(monkeypatch):
-    # one check in each of ord_binomial, kummer_carries and lucas_binom_mod
+def test_binomial_sweep_checks_its_primes_once(monkeypatch):
+    # one check per prime per sweep call, none per case: the cases call the
+    # unchecked kernels, so the library's own checks never run
     calls = []
+    monkeypatch.setattr(verify, "ensure_prime", calls.append)
     monkeypatch.setattr(arith, "ensure_prime", calls.append)
-    report = verify_binomial_valuations(0, 12)
-    assert report.passed
-    assert len(calls) == 3 * report.cases_total
+    for n_hi in (12, 40):
+        calls.clear()
+        assert verify_binomial_valuations(0, n_hi).passed
+        assert calls == list(verify.VALUATION_PRIMES)
+    monkeypatch.undo()
+    # a bad prime is refused before the table, which every case reads, is built
+    table_calls = []
+    monkeypatch.setattr(verify, "VALUATION_PRIMES", (2, 4))
+    monkeypatch.setattr(verify, "_legendre", lambda *args: table_calls.append(args))
+    with pytest.raises(ValueError) as info:
+        verify_binomial_valuations(0, 12)
+    assert str(info.value) == "p must be prime, got 4"
+    assert table_calls == []
+
+
+@pytest.mark.parametrize(
+    "route, off_at",
+    [
+        ("_legendre", lambda m, p: m == 7),
+        ("_carries", lambda n, k, p: (n, k, p) == (10, 3, 2)),
+        ("_lucas", lambda n, k, p: (n, k, p) == (10, 3, 3)),
+        ("_ord_abs", lambda c, p: (c, p) == (math.comb(10, 3), 5)),
+    ],
+)
+def test_binomial_sweep_catches_each_route_off_by_one(route, off_at, monkeypatch):
+    # each route the sweep compares, wrong by one at a single input, must
+    # surface as failures; _legendre is wrong at one m of the factorial table
+    assert verify_binomial_valuations(0, 20).passed
+    real = getattr(verify, route)
+    monkeypatch.setattr(verify, route, lambda *args: real(*args) + off_at(*args))
+    assert verify_binomial_valuations(0, 20).failures
 
 
 # --- the suite runner ---------------------------------------------------------------
@@ -147,16 +177,14 @@ def test_run_suite_independent_of_jobs(suite, monkeypatch):
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="the workers must inherit the patched kummer_carries",
+    reason="the workers must inherit the patched _carries",
 )
 def test_sharded_failures_keep_the_serial_order(monkeypatch):
     # a wrong carry count at k = 1 and k = 2 fails every (n, p) with n >= k,
     # in the serial order n, then k, then p; a sort on (n, p) would put both
     # k of one p before the next p and break the equality below
-    real = verify.kummer_carries
-    monkeypatch.setattr(
-        verify, "kummer_carries", lambda n, k, p: real(n, k, p) + (k in (1, 2))
-    )
+    real = verify._carries
+    monkeypatch.setattr(verify, "_carries", lambda n, k, p: real(n, k, p) + (k in (1, 2)))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     serial = run_suite("binom", 30, jobs=1)
     sharded = run_suite("binom", 30, jobs=3)
