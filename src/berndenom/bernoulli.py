@@ -9,7 +9,7 @@ serve as the other's oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm, prod
@@ -93,12 +93,10 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
     return _BERNOULLI[: n_max + 1]
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
+class RationalPolynomial(namedtuple("RationalPolynomial", "coeffs")):
     """Dense exact-rational coefficients, index = power of x."""
 
-    coeffs: tuple[Fraction, ...]
-
+    # no __slots__ = (): cached_property keeps _lcm in the instance dict
     @cached_property
     def _lcm(self) -> int:
         # poly_denominator's value, computed on first read and kept on the
@@ -175,13 +173,10 @@ def prime_search_bound(n: int) -> int:
     return (n + 1) // (2 if n % 2 else 3)
 
 
-@dataclass(frozen=True)
-class DenominatorFactorization:
+class DenominatorFactorization(namedtuple("DenominatorFactorization", "n primes product")):
     """Squarefree factorization of the constant-free Bernoulli denominator."""
 
-    n: int
-    primes: tuple[int, ...]
-    product: int
+    __slots__ = ()
 
 
 def denom_formula(n: int) -> DenominatorFactorization:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .arith import (
     _carries,
@@ -78,15 +77,35 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one exhaustive sweep; failures carry inspectable witnesses."""
 
-    suite: str
-    range_checked: str
-    cases_total: int
-    failures: list[tuple] = field(default_factory=list)
-    elapsed: float = 0.0
+    __slots__ = ("suite", "range_checked", "cases_total", "failures", "elapsed")
+
+    def __init__(
+        self,
+        suite: str,
+        range_checked: str,
+        cases_total: int,
+        failures: list[tuple] | None = None,
+        elapsed: float = 0.0,
+    ) -> None:
+        self.suite = suite
+        self.range_checked = range_checked
+        self.cases_total = cases_total
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"VerificationReport({pairs})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    __hash__ = None
 
     @property
     def cases_failed(self) -> int:
@@ -249,6 +268,8 @@ def run_suite(suite: str, n_max: int, jobs: int) -> VerificationReport:
     if shards == 1:
         report = _suite_shard(suite, n_lo, n_max, 1)
     else:
+        # imported here, so that a process that never shards skips multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=shards) as pool:
             parts = list(
                 pool.map(
@@ -281,8 +302,7 @@ def is_power_of(n: int, p: int) -> bool:
     return n == 1
 
 
-@dataclass(frozen=True)
-class PowerScanResult:
+class PowerScanResult(namedtuple("PowerScanResult", "n prime_set min_k threshold k_cap capped")):
     """Per-prime minimal exponents k with digit_sum(n^k, p) >= p.
 
     threshold is the maximum of the per-prime minima (None while capped): from
@@ -290,12 +310,7 @@ class PowerScanResult:
     its own minimum, and the scan records exactly where.
     """
 
-    n: int
-    prime_set: tuple[int, ...]
-    min_k: dict[int, int | None]
-    threshold: int | None
-    k_cap: int
-    capped: bool
+    __slots__ = ()
 
 
 def power_scan(n: int, prime_set, k_cap: int = DEFAULT_K_CAP) -> PowerScanResult:

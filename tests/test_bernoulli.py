@@ -1,5 +1,6 @@
 """Tests for exact Bernoulli tables, polynomials, and the two denominator routes."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import comb, lcm
@@ -10,6 +11,7 @@ from berndenom import bernoulli as btable
 from berndenom.arith import _ord_abs, digit_sum, frac_sum, primes_up_to
 from berndenom.bernoulli import (
     FORMULA_SIEVE_LIMIT,
+    DenominatorFactorization,
     RationalPolynomial,
     bernoulli_number,
     bernoulli_numbers,
@@ -203,6 +205,27 @@ def test_polynomial_denominator_is_the_cached_lcm():
     for n in range(1, 61):
         g = bernoulli_poly_no_constant(n)
         assert poly_denominator(g) == lcm(*(c.denominator for c in g.coeffs))
+
+
+def test_frozen_records_compare_hash_and_refuse_assignment():
+    poly = bernoulli_poly_no_constant(3)
+    twin = RationalPolynomial(tuple(poly.coeffs))
+    assert poly == twin and hash(poly) == hash(twin)
+    assert repr(poly) == (
+        "RationalPolynomial(coeffs=(Fraction(0, 1), Fraction(1, 2), "
+        "Fraction(-3, 2), Fraction(1, 1)))"
+    )
+    factored = denom_formula(9)
+    same = DenominatorFactorization(9, (2, 5), 10)
+    assert factored == same and hash(factored) == hash(same)
+    assert factored != DenominatorFactorization(9, (2, 5), 11)
+    assert repr(factored) == "DenominatorFactorization(n=9, primes=(2, 5), product=10)"
+    assert pickle.loads(pickle.dumps(factored)) == factored
+    fields = [(poly, "coeffs"), (factored, "n"), (factored, "primes"), (factored, "product")]
+    for record, name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert poly.coeffs == twin.coeffs and factored.product == 10
 
 
 # --- valuations of polynomials -------------------------------------------------

@@ -594,6 +594,47 @@ def test_repeated_runs_identical_modulo_meta(capsys):
 # --- the module entry point ------------------------------------------------------------
 
 
+# What a process that never shards must not import: the process pool and what
+# it brings (multiprocessing, socket, pickle, logging), and dataclasses with its
+# inspect, ast and tokenize.
+COLD_START_SKIPS = ("concurrent.futures.process", "multiprocessing", "dataclasses", "inspect")
+
+
+def test_denom_in_a_fresh_process_loads_no_pool_and_no_dataclasses():
+    script = (
+        "import sys\n"
+        "from berndenom import cli\n"
+        "code = cli.main(['denom', '9', '--method', 'both'])\n"
+        f"print([m for m in {COLD_START_SKIPS!r} if m in sys.modules], file=sys.stderr)\n"
+        "raise SystemExit(code)\n"
+    )
+    proc = run_child("-c", script, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "[]\n")
+    assert json.loads(proc.stdout)["result"]["agree"] is True
+
+
+def test_sharded_verify_in_a_fresh_process_matches_the_serial_run():
+    # two shards on any host; stderr says whether the pool was loaded
+    script = (
+        "import os, sys\n"
+        "from berndenom import cli\n"
+        "os.cpu_count = lambda: 2\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print('concurrent.futures.process' in sys.modules, file=sys.stderr)\n"
+        "raise SystemExit(code)\n"
+    )
+    outputs = []
+    for jobs, pooled in (("1", False), ("2", True)):
+        argv = ("verify", "all", "--max-n", "40", "--jobs", jobs)
+        proc = run_child("-c", script, *argv, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, f"{pooled}\n")
+        record = json.loads(proc.stdout)
+        record.pop("meta")
+        assert record["inputs"].pop("jobs") == int(jobs)
+        outputs.append(json.dumps(record, indent=2))
+    assert outputs[0] == outputs[1]
+
+
 def test_subprocess_exit_codes():
     ok = run_child("-m", "berndenom", "denom", "5", "--method", "both")
     assert ok.returncode == 0

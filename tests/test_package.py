@@ -1,4 +1,9 @@
-"""The package namespace re-exports the public names of its modules."""
+"""The package namespace re-exports the public names of its modules, and the
+README's library example runs as written."""
+
+import doctest
+import re
+from pathlib import Path
 
 import berndenom
 from berndenom import arith, bernoulli, verify
@@ -36,3 +41,16 @@ def test_exports_are_the_module_objects():
     assert berndenom.frac_sum is arith.frac_sum
     assert berndenom.denom_formula is bernoulli.denom_formula
     assert berndenom.run_suite is verify.run_suite
+
+
+def test_readme_library_example_runs():
+    # only the fenced block's body: fed the whole file, doctest would read the
+    # closing fence as expected output
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S)
+    test = doctest.DocTestParser().get_doctest(block.group(1), {}, "README", str(readme), 0)
+    report = []
+    result = doctest.DocTestRunner().run(test, out=report.append)
+    assert result.attempted > 0
+    assert result.failed == 0, "".join(report)

@@ -1,8 +1,11 @@
 """Tests for the verification suites, the power scan, and the display bound."""
 
+import concurrent.futures
 import math
 import multiprocessing
 import os
+import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +34,40 @@ def test_report_counts_derive_from_failures():
     assert report.cases_failed == 1
     assert not report.passed
     assert VerificationReport("main", "demo", 10).passed
+
+
+def test_records_survive_a_pickle_round_trip():
+    # reports come back from pool workers pickled; failures may hold Fractions
+    report = VerificationReport("main", "demo", 10, [(4, 2, Fraction(5, 4), 6)], 0.5)
+    back = pickle.loads(pickle.dumps(report))
+    assert back == report and back is not report
+    assert repr(back) == (
+        "VerificationReport(suite='main', range_checked='demo', cases_total=10, "
+        "failures=[(4, 2, Fraction(5, 4), 6)], elapsed=0.5)"
+    )
+    assert (back.cases_failed, back.passed) == (1, False)
+    back.elapsed = 1.5
+    assert back != report
+    # each report without failures gets a list of its own
+    fresh, other = VerificationReport("main", "demo", 10), VerificationReport("bound", "x", 1)
+    assert fresh.failures == other.failures == [] and fresh.failures is not other.failures
+    assert (fresh.cases_failed, fresh.passed, fresh.elapsed) == (0, True, 0.0)
+    scan = power_scan(10, [2, 3, 5, 7], 32)
+    again = pickle.loads(pickle.dumps(scan))
+    assert again == scan and type(again) is type(scan)
+    assert repr(again) == (
+        "PowerScanResult(n=10, prime_set=(2, 3, 5, 7), "
+        "min_k={2: 1, 3: 2, 5: 6, 7: 3}, threshold=6, k_cap=32, capped=False)"
+    )
+
+
+def test_power_scan_result_fields_are_read_only():
+    scan = power_scan(7, [5], 16)
+    for name in ("n", "prime_set", "min_k", "threshold", "k_cap", "capped"):
+        with pytest.raises(AttributeError):
+            setattr(scan, name, None)
+    with pytest.raises(AttributeError):
+        scan.extra = 1
 
 
 # --- the correspondence suite -----------------------------------------------
@@ -239,7 +276,8 @@ def test_run_suite_refuses_n_max_above_the_cap(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started for a refused n_max")
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", refuse)
+    # run_suite imports the pool from concurrent.futures when it shards
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(verify, "_suite_shard", refuse)
     for suite in verify.SUITE_NAMES:
         with pytest.raises(ValueError, match=str(VERIFY_MAX_N)):
@@ -252,7 +290,7 @@ def test_run_suite_clamps_jobs_to_cpu_count(monkeypatch):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     clamped = run_suite("main", 10, jobs=10**6)
     serial = run_suite("main", 10, jobs=1)
     assert clamped.cases_total == serial.cases_total
