@@ -7,7 +7,7 @@ Everything here is computed over arbitrary-precision integers and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt, prod
 
 __all__ = [
     "MILLER_RABIN_LIMIT",
@@ -26,43 +26,33 @@ __all__ = [
 ]
 
 
-# Trial division below this bound costs at most 10^4 steps. Above it,
 # Miller-Rabin with the first thirteen primes as bases is deterministic below
 # MILLER_RABIN_LIMIT, the least strong pseudoprime to all of them (Sorenson &
 # Webster 2017; the first twelve bases alone stop at 318665857834031151167461),
 # and larger n are refused.
-TRIAL_DIVISION_LIMIT = 10**8
 MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_BASES_PRODUCT = prod(_MILLER_RABIN_BASES)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test: trial division below
-    TRIAL_DIVISION_LIMIT, Miller-Rabin below MILLER_RABIN_LIMIT, and a
-    ValueError at or above that."""
-    if n < 4:
-        return n > 1
-    if n >= TRIAL_DIVISION_LIMIT:
-        return _miller_rabin(n)
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
-
-
-def _miller_rabin(n: int) -> bool:
-    # n >= TRIAL_DIVISION_LIMIT, so every base is a unit mod odd n
+    """Deterministic primality test: Miller-Rabin with the first thirteen
+    primes as bases below MILLER_RABIN_LIMIT, and a ValueError at or above
+    that."""
     if n >= MILLER_RABIN_LIMIT:
         raise ValueError(
             f"primality of {n} is not decided: the deterministic test covers "
             f"n < {MILLER_RABIN_LIMIT}"
         )
-    if n % 2 == 0:
+    if n < 2:
         return False
+    # n sharing a factor with a base is prime only as that base; past this
+    # screen every base is a unit mod n, and an n below 43^2 with no prime
+    # factor up to 41 is prime
+    if gcd(n, _BASES_PRODUCT) != 1:
+        return n in _MILLER_RABIN_BASES
+    if n < 43 * 43:
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

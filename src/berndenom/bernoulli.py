@@ -23,7 +23,6 @@ __all__ = [
     "RationalPolynomial",
     "bernoulli_number",
     "bernoulli_numbers",
-    "bernoulli_poly",
     "bernoulli_poly_no_constant",
     "clausen_denominator",
     "denom_formula",
@@ -104,27 +103,22 @@ class RationalPolynomial(namedtuple("RationalPolynomial", "coeffs")):
         return lcm(*(c.denominator for c in self.coeffs))
 
 
-def bernoulli_poly(n: int) -> RationalPolynomial:
-    """The degree-n Bernoulli polynomial sum(C(n,k) B_k x^(n-k), k=0..n)."""
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    table = bernoulli_numbers(n)
-    # every odd B_k past B_1 is zero, so half the products can be skipped;
-    # each entry is still read, so a corrupted one reaches the polynomial
-    coeffs = [comb(n, k) * b if b else b for k, b in enumerate(table)]
-    return RationalPolynomial(tuple(reversed(coeffs)))
-
-
 def bernoulli_poly_no_constant(n: int) -> RationalPolynomial:
-    """The Bernoulli polynomial with its constant term removed; n >= 1.
+    """B_n(x) - B_n = sum(C(n,k) B_k x^(n-k), k=0..n-1), the degree-n
+    Bernoulli polynomial with its constant term removed; n >= 1.
 
     n = 0 would give the zero polynomial and is rejected.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    coeffs = list(bernoulli_poly(n).coeffs)
-    coeffs[0] = Fraction(0)
-    return RationalPolynomial(tuple(coeffs))
+    # read to index n, so that the cap refuses n itself; the list is a copy,
+    # so the constant term C(n, n) B_n is zeroed without touching the memo
+    table = bernoulli_numbers(n)
+    table[n] = Fraction(0)
+    # every odd B_k past B_1 is zero, so half the products can be skipped;
+    # each entry is still read, so a corrupted one reaches the polynomial
+    coeffs = [comb(n, k) * b if b else b for k, b in enumerate(table)]
+    return RationalPolynomial(tuple(reversed(coeffs)))
 
 
 def poly_denominator(f: RationalPolynomial) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from bisect import bisect_right
 from collections import namedtuple
 
 from .arith import (
@@ -193,15 +194,16 @@ def verify_squarefree(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationRep
     """Check that every coefficient-minimum valuation of the constant-free
     Bernoulli polynomial is -1 or 0, which makes its denominator squarefree."""
     _check_range("squarefree", n_lo, n_hi, step)
+    primes = primes_up_to(n_hi + 1)
 
     def check(n, failures):
         f = bernoulli_poly_no_constant(n)
-        primes = primes_up_to(n + 1)
-        for p in primes:
+        count = bisect_right(primes, n + 1)
+        for p in primes[:count]:
             v = ord_poly(f, p)
             if v != 0 and v != -1:
                 failures.append((n, p, v, "-1 or 0"))
-        return len(primes)
+        return count
 
     return _sweep("squarefree", n_lo, n_hi, step, "primes p <= n+1", check)
 
@@ -265,32 +267,25 @@ def run_suite(suite: str, n_max: int, jobs: int) -> VerificationReport:
     n_lo = _SUITES[suite][1]
     start = time.perf_counter()
     shards = min(jobs, n_max - n_lo + 1, os.cpu_count() or 1)
+    args = ([suite] * shards, range(n_lo, n_lo + shards), [n_max] * shards, [shards] * shards)
     if shards == 1:
-        report = _suite_shard(suite, n_lo, n_max, 1)
+        parts = list(map(_suite_shard, *args))
     else:
         # imported here, so that a process that never shards skips multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=shards) as pool:
-            parts = list(
-                pool.map(
-                    _suite_shard,
-                    [suite] * shards,
-                    range(n_lo, n_lo + shards),
-                    [n_max] * shards,
-                    [shards] * shards,
-                )
-            )
-        # shard 0 swept [n_lo, n_max] with step shards; drop the stride from
-        # its text to get the serial one. Each n lies in exactly one shard, and
-        # within an n the shard keeps the serial order (for binom: k, then p),
-        # so a stable sort on n alone restores the serial list; sorting on
-        # (n, p) would not
-        report = VerificationReport(
-            suite,
-            parts[0].range_checked.replace(f" step {shards},", ",", 1),
-            sum(r.cases_total for r in parts),
-            sorted((f for r in parts for f in r.failures), key=lambda f: f[0]),
-        )
+            parts = list(pool.map(_suite_shard, *args))
+    # shard 0 swept [n_lo, n_max] with step shards; drop the stride from its
+    # text to get the serial one (a step of 1 left none). Each n lies in
+    # exactly one shard, and within an n the shard keeps the serial order (for
+    # binom: k, then p), so a stable sort on n alone restores the serial list;
+    # sorting on (n, p) would not
+    report = VerificationReport(
+        suite,
+        parts[0].range_checked.replace(f" step {shards},", ",", 1),
+        sum(r.cases_total for r in parts),
+        sorted((f for r in parts for f in r.failures), key=lambda f: f[0]),
+    )
     report.elapsed = time.perf_counter() - start
     return report
 

@@ -332,14 +332,24 @@ def test_is_prime_agrees_with_the_sieve_below_ten_to_the_five():
 
 
 def test_is_prime_above_the_trial_division_range():
-    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7, and
-    # 318665857834031151167461 the least one to the first twelve prime bases,
-    # which only the thirteenth base (41) exposes
-    for m in (3215031751, 318665857834031151167461, (2**61 - 1) * (2**17 - 1)):
+    # Miller-Rabin decides every n from 43^2 on. Strong pseudoprimes to the
+    # first prime bases: 2047 to the first one, 1373653 to two, 25326001 to
+    # three, 3215031751 to four, 3825123056546413051 to eleven, and
+    # 318665857834031151167461, the least one to the first twelve, which only
+    # the thirteenth base (41) exposes. 561, 41041 and 825265 are Carmichael
+    # numbers; 41^2 is caught by the screen against the bases and 43^2, the
+    # least n it passes that is not prime, by Miller-Rabin
+    composites = (
+        3215031751, 318665857834031151167461, (2**61 - 1) * (2**17 - 1),
+        2047, 1373653, 25326001, 3825123056546413051,
+        561, 41041, 825265,
+        1681, 1849,
+    )
+    for m in composites:
         assert not is_prime(m)
     assert is_prime(2**61 - 1) and is_prime(10**24 + 7)
-    # across the switch from trial division, against division by every prime
-    # up to the square root
+    # a band around 10^8, against division by every prime up to the square
+    # root
     divisors = primes_up_to(10**4 + 100)
     for m in range(10**8 - 500, 10**8 + 500):
         assert is_prime(m) == all(m % q for q in divisors if q * q <= m)

@@ -15,7 +15,6 @@ from berndenom.bernoulli import (
     RationalPolynomial,
     bernoulli_number,
     bernoulli_numbers,
-    bernoulli_poly,
     bernoulli_poly_no_constant,
     clausen_denominator,
     denom_formula,
@@ -140,22 +139,40 @@ def test_clausen_examples_and_domain():
 # --- polynomials --------------------------------------------------------------
 
 
+def _bernoulli_poly_reference(n):
+    # sum(C(n,k) B_k x^(n-k), k=0..n), index = power of x
+    return tuple(comb(n, n - j) * bernoulli_number(n - j) for j in range(n + 1))
+
+
 def test_bernoulli_poly_examples():
-    assert bernoulli_poly(0).coeffs == (Fraction(1),)
-    assert bernoulli_poly(1).coeffs == (Fraction(-1, 2), Fraction(1))
-    assert bernoulli_poly(3).coeffs == (
+    assert _bernoulli_poly_reference(0) == (Fraction(1),)
+    assert _bernoulli_poly_reference(1) == (Fraction(-1, 2), Fraction(1))
+    assert _bernoulli_poly_reference(3) == (
         Fraction(0),
         Fraction(1, 2),
         Fraction(-3, 2),
         Fraction(1),
     )
+    assert bernoulli_poly_no_constant(3).coeffs == (0, *_bernoulli_poly_reference(3)[1:])
 
 
 def test_bernoulli_poly_shape():
-    for n in range(41):
-        f = bernoulli_poly(n)
+    for n in range(1, 41):
+        f = bernoulli_poly_no_constant(n)
         assert len(f.coeffs) == n + 1
         assert f.coeffs[-1] == 1
+    assert _bernoulli_poly_reference(0) == (1,)
+
+
+def test_no_constant_difference_is_n_x_to_the_n_minus_1():
+    # f = B_n(x) - B_n has f(0) = 0 and f(x + 1) - f(x) = n x^(n-1); the
+    # coefficient of x^i in f(x + 1) is the sum over j of C(j, i) f_j
+    for n in range(1, 41):
+        f = bernoulli_poly_no_constant(n).coeffs
+        assert f[0] == 0
+        shifted = [sum(comb(j, i) * f[j] for j in range(i, n + 1)) for i in range(n + 1)]
+        difference = [a - b for a, b in zip(shifted, f)]
+        assert difference == [n if i == n - 1 else 0 for i in range(n + 1)]
 
 
 def test_no_constant_examples():
@@ -178,10 +195,10 @@ def test_no_constant_examples():
 
 def test_no_constant_drops_exactly_the_constant():
     for n in range(1, 41):
-        full = bernoulli_poly(n)
+        full = _bernoulli_poly_reference(n)
         bare = bernoulli_poly_no_constant(n)
         assert bare.coeffs[0] == 0
-        assert bare.coeffs[1:] == full.coeffs[1:]
+        assert bare.coeffs[1:] == full[1:]
         assert len(bare.coeffs) == n + 1
 
 

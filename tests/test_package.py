@@ -15,7 +15,7 @@ PUBLIC_NAMES = set(
     DEFAULT_BERNOULLI_CAP DEFAULT_K_CAP DenominatorFactorization
     FORMULA_SIEVE_LIMIT MILLER_RABIN_LIMIT PowerScanResult
     RationalPolynomial SUITE_NAMES VERIFY_MAX_N VerificationReport
-    __version__ bernoulli_number bernoulli_numbers bernoulli_poly
+    __version__ bernoulli_number bernoulli_numbers
     bernoulli_poly_no_constant clausen_denominator denom_formula
     denominator_has_prime digit_sum ensure_prime frac_sum frac_sum_digit
     frac_sum_direct is_power_of is_prime kummer_carries lucas_binom_mod
@@ -32,7 +32,7 @@ def test_every_exported_name_resolves_once():
     assert len(names) == len(set(names))
     for name in names:
         getattr(berndenom, name)
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 40
     assert set(names) == PUBLIC_NAMES
 
 

@@ -142,6 +142,21 @@ def test_squarefree_passes_small_range():
     assert report.cases_total == sum(len(primes_up_to(n + 1)) for n in range(1, 101))
 
 
+def test_squarefree_sieves_once_per_sweep(monkeypatch):
+    limits = []
+
+    def counting(limit):
+        limits.append(limit)
+        return primes_up_to(limit)
+
+    monkeypatch.setattr(verify, "primes_up_to", counting)
+    whole = verify_squarefree(1, 60)
+    part = verify_squarefree(2, 60, step=3)
+    assert limits == [61, 61]
+    assert whole.cases_total == sum(len(primes_up_to(n + 1)) for n in range(1, 61))
+    assert part.cases_total == sum(len(primes_up_to(n + 1)) for n in range(2, 61, 3))
+
+
 def test_squarefree_oracle_products():
     for n in (1, 3, 13, 24):
         d = poly_denominator(bernoulli_poly_no_constant(n))
