@@ -1,10 +1,10 @@
 """Exact Bernoulli numbers and polynomials, plus two routes to the denominator
 of the Bernoulli polynomial without constant term.
 
-The brute-force route builds the polynomial over exact rationals and takes the
-lcm of the reduced coefficient denominators; the formula route multiplies the
-primes p whose base-p digit sum of n reaches p. Both are exposed so each can
-serve as the other's oracle.
+The brute-force route takes the lcm of the polynomial's reduced coefficient
+denominators, read off the reduced Bernoulli denominators without forming a
+numerator; the formula route multiplies the primes p whose base-p digit sum
+of n reaches p. Both are exposed so each can serve as the other's oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from .arith import _ord_abs, digit_sum, ensure_prime, primes_up_to
 
@@ -119,6 +119,24 @@ def bernoulli_poly_no_constant(n: int) -> RationalPolynomial:
     # each entry is still read, so a corrupted one reaches the polynomial
     coeffs = [comb(n, k) * b if b else b for k, b in enumerate(table)]
     return RationalPolynomial(tuple(reversed(coeffs)))
+
+
+def _denominator_no_constant(n: int) -> int:
+    # poly_denominator(bernoulli_poly_no_constant(n)) without the polynomial:
+    # with B_k = N/D in lowest terms, C(n,k) B_k has denominator
+    # D // gcd(C(n,k), D), so no numerator product is formed. Reads every
+    # entry to index n, as the polynomial does, so the cap refuses n and a
+    # corrupted entry reaches the lcm; no digit sums or von Staudt-Clausen.
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    table = bernoulli_numbers(n)
+    denom = c = 1
+    for k in range(n):
+        d = table[k].denominator
+        if d > 1:
+            denom = lcm(denom, d // gcd(c, d))
+        c = c * (n - k) // (k + 1)
+    return denom
 
 
 def poly_denominator(f: RationalPolynomial) -> int:

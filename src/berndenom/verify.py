@@ -14,6 +14,7 @@ import os
 import time
 from bisect import bisect_right
 from collections import namedtuple
+from fractions import Fraction
 
 from .arith import (
     _carries,
@@ -22,13 +23,13 @@ from .arith import (
     _ord_abs,
     digit_sum,
     ensure_prime,
-    frac_sum,
     primes_up_to,
 )
 from .bernoulli import (
+    _denominator_no_constant,
+    bernoulli_number,
     bernoulli_poly_no_constant,
     ord_poly,
-    poly_denominator,
     prime_search_bound,
 )
 
@@ -153,18 +154,24 @@ def verify_correspondence(
     Primes p > n need no sweep: the sum collapses to n/(p-1) <= 1 and the
     denominator has no factor above n, so both sides are false. The sweep up
     to p_max (default n_hi + 1) therefore covers the unrestricted statement.
+
+    The primes are checked once per sweep. The sum is n/(p-1) - ord_p(n!), so
+    it exceeds 1 exactly when n > (p-1) (ord_p(n!) + 1), and a case compares
+    integers; the sum itself is formed only for a failure's witness.
     """
     _check_range("main", n_lo, n_hi, step)
     if p_max is None:
         p_max = n_hi + 1
     primes = primes_up_to(p_max)
+    for p in primes:
+        ensure_prime(p)
 
     def check(n, failures):
-        denom = poly_denominator(bernoulli_poly_no_constant(n))
+        denom = _denominator_no_constant(n)
         for p in primes:
-            value = frac_sum(n, p)
-            if (value > 1) != (denom % p == 0):
-                failures.append((n, p, value, denom))
+            v = _legendre(n, p)
+            if (n > (p - 1) * (v + 1)) != (denom % p == 0):
+                failures.append((n, p, Fraction(n, p - 1) - v, denom))
         return len(primes)
 
     return _sweep("main", n_lo, n_hi, step, f"primes p <= {p_max}", check)
@@ -172,18 +179,23 @@ def verify_correspondence(
 
 def verify_prime_bound(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationReport:
     """Check that primes beyond (n+1)/2 (odd n) or (n+1)/3 (even n) never push
-    the fractional-part sum above 1, sweeping p up to a ceiling of 2 * n_hi."""
+    the fractional-part sum above 1, sweeping p up to a ceiling of 2 * n_hi.
+
+    As in verify_correspondence, the primes are checked once per sweep and a
+    case compares integers.
+    """
     _check_range("bound", n_lo, n_hi, step)
     p_max = 2 * n_hi
     primes = primes_up_to(p_max)
+    for p in primes:
+        ensure_prime(p)
 
     def check(n, failures):
-        bound = prime_search_bound(n)
-        beyond = [p for p in primes if p > bound]
+        beyond = primes[bisect_right(primes, prime_search_bound(n)) :]
         for p in beyond:
-            value = frac_sum(n, p)
-            if value > 1:
-                failures.append((n, p, value, 1))
+            v = _legendre(n, p)
+            if n > (p - 1) * (v + 1):
+                failures.append((n, p, Fraction(n, p - 1) - v, 1))
         return len(beyond)
 
     detail = f"primes p above (n+1)/2 or (n+1)/3 up to {p_max}"
@@ -192,15 +204,24 @@ def verify_prime_bound(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationRe
 
 def verify_squarefree(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationReport:
     """Check that every coefficient-minimum valuation of the constant-free
-    Bernoulli polynomial is -1 or 0, which makes its denominator squarefree."""
+    Bernoulli polynomial is -1 or 0, which makes its denominator squarefree.
+
+    The x^n coefficient is C(n,0) B_0 = 1, so with D the denominator the
+    minimum valuation at p is -ord_p(D) when p divides D and 0 otherwise. An
+    n whose table holds B_0 != 1 takes its valuations from the polynomial.
+    """
     _check_range("squarefree", n_lo, n_hi, step)
     primes = primes_up_to(n_hi + 1)
 
     def check(n, failures):
-        f = bernoulli_poly_no_constant(n)
         count = bisect_right(primes, n + 1)
-        for p in primes[:count]:
-            v = ord_poly(f, p)
+        if bernoulli_number(0) == 1:
+            denom = _denominator_no_constant(n)
+            valuations = [-_ord_abs(denom, p) if denom % p == 0 else 0 for p in primes[:count]]
+        else:
+            f = bernoulli_poly_no_constant(n)
+            valuations = [ord_poly(f, p) for p in primes[:count]]
+        for p, v in zip(primes, valuations):
             if v != 0 and v != -1:
                 failures.append((n, p, v, "-1 or 0"))
         return count

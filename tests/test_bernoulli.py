@@ -375,6 +375,24 @@ def test_brute_force_matches_frozen_oracle():
         assert poly_denominator(bernoulli_poly_no_constant(n)) == expected
 
 
+def test_reduced_denominator_kernel_is_the_polynomial_lcm(monkeypatch):
+    # the oracle reads the lcm off the reduced Bernoulli denominators; pinned
+    # against the lcm of the built polynomial, with the formula route's digit
+    # sums and the von Staudt-Clausen product unreachable
+    def refuse(*args):
+        raise AssertionError("the oracle route must not use the formula route")
+
+    monkeypatch.setattr(btable, "digit_sum", refuse)
+    monkeypatch.setattr(btable, "clausen_denominator", refuse)
+    for n in [*range(1, 601), 997, 1000]:
+        expected = poly_denominator(bernoulli_poly_no_constant(n))
+        assert btable._denominator_no_constant(n) == expected, n
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        btable._denominator_no_constant(0)
+    with pytest.raises(ValueError, match="cap"):
+        btable._denominator_no_constant(btable.DEFAULT_BERNOULLI_CAP + 1)
+
+
 def test_search_bound_is_lossless():
     # widening the prime search beyond (n+1)/lambda_n to every p <= n must
     # change nothing (any p > n has digit sum n < p and never qualifies)

@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 from berndenom import arith, verify
+from berndenom import bernoulli as btable
 from berndenom.arith import digit_sum, frac_sum, primes_up_to
-from berndenom.bernoulli import bernoulli_poly_no_constant, poly_denominator
+from berndenom.bernoulli import bernoulli_poly_no_constant, ord_poly, poly_denominator
 from berndenom.verify import (
     VerificationReport,
     is_power_of,
@@ -110,6 +111,47 @@ def test_correspondence_detects_corruption():
     assert any(case[0] == 3 and case[1] == 7 for case in report.failures)
 
 
+@pytest.mark.parametrize(
+    "index, value",
+    [
+        (0, Fraction(7)),
+        (0, Fraction(1, 49)),
+        (0, Fraction(2, 3)),
+        (2, Fraction(1, 7)),
+        (5, Fraction(1, 7)),
+        (7, Fraction(3, 25)),
+    ],
+)
+def test_sweeps_report_a_corrupted_entry_as_the_polynomial_does(index, value):
+    # the main and squarefree sweeps read the reduced denominators (and the
+    # squarefree one its valuations from B_0 = 1); under a corrupted entry,
+    # odd and B_0 ones included, they must list the failures that the built
+    # polynomial, its lcm and frac_sum give case by case
+    btable.bernoulli_numbers(60)
+    original = btable._BERNOULLI[index]
+    btable._BERNOULLI[index] = value
+    try:
+        squarefree = verify_squarefree(1, 60).failures
+        main = verify_correspondence(1, 60).failures
+        expected_squarefree, expected_main = [], []
+        for n in range(1, 61):
+            f = bernoulli_poly_no_constant(n)
+            denom = poly_denominator(f)
+            for p in primes_up_to(61):
+                if p <= n + 1 and ord_poly(f, p) not in (0, -1):
+                    expected_squarefree.append((n, p, ord_poly(f, p), "-1 or 0"))
+                if (frac_sum(n, p) > 1) != (denom % p == 0):
+                    expected_main.append((n, p, frac_sum(n, p), denom))
+    finally:
+        btable._BERNOULLI[index] = original
+    assert squarefree == expected_squarefree
+    assert main == expected_main
+    if (index, value) == (0, Fraction(2, 3)):
+        # at n = 1 the polynomial is (2/3) x, of 2-adic valuation 1, which
+        # only the fallback to the polynomial sees
+        assert squarefree == [(1, 2, 1, "-1 or 0")]
+
+
 # --- the bound suite ----------------------------------------------------------
 
 
@@ -192,6 +234,23 @@ def test_binomial_sweep_checks_its_primes_once(monkeypatch):
         verify_binomial_valuations(0, 12)
     assert str(info.value) == "p must be prime, got 4"
     assert table_calls == []
+
+
+@pytest.mark.parametrize(
+    "sweep, p_max",
+    [(verify_correspondence, lambda n_hi: n_hi + 1), (verify_prime_bound, lambda n_hi: 2 * n_hi)],
+    ids=["main", "bound"],
+)
+def test_fractional_part_sweeps_check_their_primes_once(sweep, p_max, monkeypatch):
+    # one check per sieved prime per sweep call, none per case: the cases
+    # compare integers, so frac_sum and the library's own checks never run
+    calls = []
+    monkeypatch.setattr(verify, "ensure_prime", calls.append)
+    monkeypatch.setattr(arith, "ensure_prime", calls.append)
+    for n_hi in (12, 40):
+        calls.clear()
+        assert sweep(1, n_hi).passed
+        assert calls == primes_up_to(p_max(n_hi))
 
 
 @pytest.mark.parametrize(
