@@ -59,9 +59,10 @@ DEFAULT_K_CAP = 64
 SCAN_MAX_BITS = 8192
 
 # Largest n_max run_suite accepts. `verify all --max-n 1000 --jobs 2` takes
-# about 18 s in-program (median of three runs, 16.8 to 18.8 s; CPython 3.11.7,
-# 2-vCPU Intel Xeon x86-64 host), against about 0.9 s at 300; the cost grows
-# roughly as n_max^3.
+# about 11 s in-program (median of three runs, 9.8 to 11.1 s; CPython 3.11.7,
+# 2-vCPU Intel Xeon x86-64 host), against about 0.56 s at 300 and 2.7 s at
+# 600; the cost grows roughly as n_max^2.5 to n_max^3, nine tenths of it in
+# the binom sweep.
 VERIFY_MAX_N = 1000
 
 VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)
