@@ -1,17 +1,17 @@
 """Exact Bernoulli numbers and polynomials, plus two routes to the denominator
 of the Bernoulli polynomial without constant term.
 
-The brute-force route takes the lcm of the polynomial's reduced coefficient
-denominators, read off the reduced Bernoulli denominators without forming a
-numerator; the formula route multiplies the primes p whose base-p digit sum
-of n reaches p. Both are exposed so each can serve as the other's oracle.
+The brute-force route reads the polynomial's content, the gcd of its reduced
+coefficient numerators over the lcm of their denominators, off the reduced
+Bernoulli numbers without building the polynomial; the formula route
+multiplies the primes p whose base-p digit sum of n reaches p. Both are
+exposed so each can serve as the other's oracle.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import comb, gcd, lcm, prod
 
 from .arith import _ord_abs, digit_sum, ensure_prime, primes_up_to
@@ -35,9 +35,9 @@ __all__ = [
 # Refusal threshold for table extension, the one cap for every caller that
 # builds the table (bernoulli, denom --method oracle|both and the suites); a
 # guard against runaway time and memory, not a silent truncation. A full table
-# to 5000 takes about 27 s and 65 MB peak RSS (CPython 3.11, one core of a
-# 2-vCPU x86-64 host); growth is roughly cubic in the cap, so 10000 would take
-# minutes.
+# to 5000 takes about 24 s (median of three runs, 22.6 to 26.8 s) and 64 MB
+# peak RSS (CPython 3.11.7, one core of a 2-vCPU x86-64 host); growth is
+# roughly cubic in the cap, so 10000 would take minutes.
 DEFAULT_BERNOULLI_CAP = 5000
 
 # Largest prime sieve denom_formula runs, until an O(sqrt n) route replaces the
@@ -95,12 +95,7 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
 class RationalPolynomial(namedtuple("RationalPolynomial", "coeffs")):
     """Dense exact-rational coefficients, index = power of x."""
 
-    # no __slots__ = (): cached_property keeps _lcm in the instance dict
-    @cached_property
-    def _lcm(self) -> int:
-        # poly_denominator's value, computed on first read and kept on the
-        # instance; not a field, so equality and hashing see only coeffs
-        return lcm(*(c.denominator for c in self.coeffs))
+    __slots__ = ()
 
 
 def bernoulli_poly_no_constant(n: int) -> RationalPolynomial:
@@ -121,27 +116,36 @@ def bernoulli_poly_no_constant(n: int) -> RationalPolynomial:
     return RationalPolynomial(tuple(reversed(coeffs)))
 
 
-def _denominator_no_constant(n: int) -> int:
-    # poly_denominator(bernoulli_poly_no_constant(n)) without the polynomial:
-    # with B_k = N/D in lowest terms, C(n,k) B_k has denominator
-    # D // gcd(C(n,k), D), so no numerator product is formed. Reads every
-    # entry to index n, as the polynomial does, so the cap refuses n and a
-    # corrupted entry reaches the lcm; no digit sums or von Staudt-Clausen.
+def _content_no_constant(n: int) -> tuple[int, int]:
+    # (num, denom): the gcd of the reduced coefficient numerators of
+    # bernoulli_poly_no_constant(n) and the lcm of their denominators, without
+    # the polynomial. With B_k = N/D in lowest terms and g = gcd(C(n,k), D),
+    # C(n,k) B_k is (C(n,k)/g) N / (D/g) in lowest terms; num is updated only
+    # while it is not 1, and B_0 = 1 makes it 1 at k = 0. A reduced fraction
+    # has p in at most one of its numerator and denominator, so num and denom
+    # are coprime, ord_poly's value is ord_p(num) - ord_p(denom), and num is 0
+    # only for the zero polynomial. Reads every entry to index n, as the
+    # polynomial does, so the cap refuses n and a corrupted entry reaches the
+    # result; no digit sums or von Staudt-Clausen.
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     table = bernoulli_numbers(n)
+    num = 0
     denom = c = 1
     for k in range(n):
-        d = table[k].denominator
+        b = table[k]
+        d = b.denominator
+        if num != 1:
+            num = gcd(num, c // gcd(c, d) * b.numerator)
         if d > 1:
             denom = lcm(denom, d // gcd(c, d))
         c = c * (n - k) // (k + 1)
-    return denom
+    return num, denom
 
 
 def poly_denominator(f: RationalPolynomial) -> int:
     """Lcm of the reduced coefficient denominators; 1 for the zero polynomial."""
-    return f._lcm
+    return lcm(*(c.denominator for c in f.coeffs))
 
 
 def ord_poly(f: RationalPolynomial, p: int) -> int:
@@ -150,20 +154,9 @@ def ord_poly(f: RationalPolynomial, p: int) -> int:
     Raises ValueError for the zero polynomial, which has no finite valuation.
     """
     ensure_prime(p)
-    # A reduced fraction has p in at most one of its numerator and
-    # denominator, so a denominator divisible by p settles the sign of the
-    # minimum. The p-part of an lcm is the largest p-part of its terms, so
-    # the polynomial's lcm gives that minimum, -ord_p of the lcm, at once.
-    if f._lcm % p == 0:
-        return -_ord_abs(f._lcm, p)
-    # No p in any denominator: the minimum is 0 at the first nonzero
-    # numerator p does not divide, else the least numerator valuation.
-    valuations = []
-    for c in f.coeffs:
-        if c:
-            if c.numerator % p:
-                return 0
-            valuations.append(_ord_abs(c.numerator, p))
+    valuations = [
+        _ord_abs(c.numerator, p) - _ord_abs(c.denominator, p) for c in f.coeffs if c
+    ]
     if not valuations:
         raise ValueError("the zero polynomial has no finite valuation")
     return min(valuations)

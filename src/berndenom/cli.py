@@ -20,7 +20,7 @@ import time
 
 from . import __version__
 from .arith import digit_sum, frac_sum
-from .bernoulli import _denominator_no_constant, bernoulli_numbers, denom_formula
+from .bernoulli import _content_no_constant, bernoulli_numbers, denom_formula
 from .verify import DEFAULT_K_CAP, SUITE_NAMES, power_scan, run_suite, stewart_bound
 
 __all__ = ["build_parser", "entrypoint", "main"]
@@ -107,7 +107,7 @@ def _cmd_denom(args) -> tuple[dict, dict, dict, int]:
         fact = denom_formula(args.n)
         result["formula"] = {"primes": list(fact.primes), "product": fact.product}
     if args.method in ("oracle", "both"):
-        product = _denominator_no_constant(args.n)
+        product = _content_no_constant(args.n)[1]
         result["oracle"] = {"primes": _factor_squarefree(product), "product": product}
     if args.method == "both":
         agree = result["formula"]["product"] == result["oracle"]["product"]

@@ -25,13 +25,7 @@ from .arith import (
     ensure_prime,
     primes_up_to,
 )
-from .bernoulli import (
-    _denominator_no_constant,
-    bernoulli_number,
-    bernoulli_poly_no_constant,
-    ord_poly,
-    prime_search_bound,
-)
+from .bernoulli import _content_no_constant, prime_search_bound
 
 __all__ = [
     "DEFAULT_K_CAP",
@@ -59,9 +53,9 @@ DEFAULT_K_CAP = 64
 SCAN_MAX_BITS = 8192
 
 # Largest n_max run_suite accepts. `verify all --max-n 1000 --jobs 2` takes
-# about 11 s in-program (median of three runs, 9.8 to 11.1 s; CPython 3.11.7,
-# 2-vCPU Intel Xeon x86-64 host), against about 0.56 s at 300 and 2.7 s at
-# 600; the cost grows roughly as n_max^2.5 to n_max^3, nine tenths of it in
+# about 6.4 s in-program (median of three runs, 5.1 to 6.5 s; CPython 3.11.7,
+# 2-vCPU Intel Xeon x86-64 host), against about 0.50 s at 300 and 2.0 s at
+# 600; the cost grows roughly as n_max^2 to n_max^2.3, five sixths of it in
 # the binom sweep.
 VERIFY_MAX_N = 1000
 
@@ -168,7 +162,7 @@ def verify_correspondence(
         ensure_prime(p)
 
     def check(n, failures):
-        denom = _denominator_no_constant(n)
+        denom = _content_no_constant(n)[1]
         for p in primes:
             v = _legendre(n, p)
             if (n > (p - 1) * (v + 1)) != (denom % p == 0):
@@ -207,24 +201,22 @@ def verify_squarefree(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationRep
     """Check that every coefficient-minimum valuation of the constant-free
     Bernoulli polynomial is -1 or 0, which makes its denominator squarefree.
 
-    The x^n coefficient is C(n,0) B_0 = 1, so with D the denominator the
-    minimum valuation at p is -ord_p(D) when p divides D and 0 otherwise. An
-    n whose table holds B_0 != 1 takes its valuations from the polynomial.
+    The minimum valuation at p is ord_p(num) - ord_p(denom), with num/denom
+    the polynomial's content (the gcd of its reduced coefficient numerators
+    over the lcm of their denominators), so a case fails exactly when p
+    divides num or p^2 divides denom.
     """
     _check_range("squarefree", n_lo, n_hi, step)
     primes = primes_up_to(n_hi + 1)
 
     def check(n, failures):
+        num, denom = _content_no_constant(n)
+        if num == 0:
+            raise ValueError("the zero polynomial has no finite valuation")
         count = bisect_right(primes, n + 1)
-        if bernoulli_number(0) == 1:
-            denom = _denominator_no_constant(n)
-            valuations = [-_ord_abs(denom, p) if denom % p == 0 else 0 for p in primes[:count]]
-        else:
-            f = bernoulli_poly_no_constant(n)
-            valuations = [ord_poly(f, p) for p in primes[:count]]
-        for p, v in zip(primes, valuations):
-            if v != 0 and v != -1:
-                failures.append((n, p, v, "-1 or 0"))
+        for p in primes[:count]:
+            if num % p == 0 or denom % (p * p) == 0:
+                failures.append((n, p, _ord_abs(num, p) - _ord_abs(denom, p), "-1 or 0"))
         return count
 
     return _sweep("squarefree", n_lo, n_hi, step, "primes p <= n+1", check)
@@ -237,7 +229,8 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
 
     The primes are checked once per sweep, and 0 <= k <= n holds by
     construction, so the cases call the unchecked kernels. ord_p(m!) comes
-    from a table of Legendre sums for m <= n_hi, built once per sweep.
+    from a table of Legendre sums for m <= n_hi, built once per sweep, and
+    C(n,k) is a running product over k.
     """
     _check_range("binom", n_lo, n_hi, step)
     for p in VALUATION_PRIMES:
@@ -245,8 +238,8 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
     tables = [(p, [_legendre(m, p) for m in range(n_hi + 1)]) for p in VALUATION_PRIMES]
 
     def check(n, failures):
+        c = 1
         for k in range(n + 1):
-            c = math.comb(n, k)
             for p, fact in tables:
                 v_legendre = fact[n] - fact[k] - fact[n - k]
                 v_carries = _carries(n, k, p)
@@ -261,6 +254,7 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
                     failures.append(
                         (n, p, (k, v_legendre, v_carries, v_exact), (residue, c % p))
                     )
+            c = c * (n - k) // (k + 1)
         return (n + 1) * len(VALUATION_PRIMES)
 
     detail = f"0 <= k <= n, p in {list(VALUATION_PRIMES)}"

@@ -208,15 +208,13 @@ def test_poly_denominator_examples():
     assert poly_denominator(RationalPolynomial(())) == 1
 
 
-def test_polynomial_denominator_is_the_cached_lcm():
+def test_polynomial_denominator_is_the_coefficient_lcm():
     coeffs = (Fraction(1, 4), 0, Fraction(5, 6), Fraction(7, 9), 2)
     f = RationalPolynomial(tuple(Fraction(c) for c in coeffs))
     twin = RationalPolynomial(tuple(Fraction(c) for c in coeffs))
     before = hash(f)
     assert poly_denominator(f) == lcm(4, 1, 6, 9, 1) == 36
-    assert "_lcm" in vars(f)
     assert f == twin and hash(f) == before == hash(twin)
-    assert "_lcm" not in vars(twin)
     assert poly_denominator(f) == 36
     assert poly_denominator(RationalPolynomial(())) == 1
     for n in range(1, 61):
@@ -228,6 +226,7 @@ def test_frozen_records_compare_hash_and_refuse_assignment():
     poly = bernoulli_poly_no_constant(3)
     twin = RationalPolynomial(tuple(poly.coeffs))
     assert poly == twin and hash(poly) == hash(twin)
+    assert not hasattr(poly, "__dict__")
     assert repr(poly) == (
         "RationalPolynomial(coeffs=(Fraction(0, 1), Fraction(1, 2), "
         "Fraction(-3, 2), Fraction(1, 1)))"
@@ -376,8 +375,9 @@ def test_brute_force_matches_frozen_oracle():
 
 
 def test_reduced_denominator_kernel_is_the_polynomial_lcm(monkeypatch):
-    # the oracle reads the lcm off the reduced Bernoulli denominators; pinned
-    # against the lcm of the built polynomial, with the formula route's digit
+    # the oracle reads the polynomial's content off the reduced Bernoulli
+    # numbers; pinned against the built polynomial (numerator gcd 1, since
+    # the x^n coefficient is 1, and its lcm), with the formula route's digit
     # sums and the von Staudt-Clausen product unreachable
     def refuse(*args):
         raise AssertionError("the oracle route must not use the formula route")
@@ -386,11 +386,11 @@ def test_reduced_denominator_kernel_is_the_polynomial_lcm(monkeypatch):
     monkeypatch.setattr(btable, "clausen_denominator", refuse)
     for n in [*range(1, 601), 997, 1000]:
         expected = poly_denominator(bernoulli_poly_no_constant(n))
-        assert btable._denominator_no_constant(n) == expected, n
+        assert btable._content_no_constant(n) == (1, expected), n
     with pytest.raises(ValueError, match="n must be >= 1"):
-        btable._denominator_no_constant(0)
+        btable._content_no_constant(0)
     with pytest.raises(ValueError, match="cap"):
-        btable._denominator_no_constant(btable.DEFAULT_BERNOULLI_CAP + 1)
+        btable._content_no_constant(btable.DEFAULT_BERNOULLI_CAP + 1)
 
 
 def test_search_bound_is_lossless():

@@ -1,6 +1,7 @@
 """Tests for the verification suites, the power scan, and the display bound."""
 
 import concurrent.futures
+import json
 import math
 import multiprocessing
 import os
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from berndenom import arith, verify
+from berndenom import arith, cli, verify
 from berndenom import bernoulli as btable
 from berndenom.arith import digit_sum, frac_sum, primes_up_to
 from berndenom.bernoulli import bernoulli_poly_no_constant, ord_poly, poly_denominator
@@ -120,13 +121,15 @@ def test_correspondence_detects_corruption():
         (2, Fraction(1, 7)),
         (5, Fraction(1, 7)),
         (7, Fraction(3, 25)),
+        (0, Fraction(4, 9)),
     ],
 )
 def test_sweeps_report_a_corrupted_entry_as_the_polynomial_does(index, value):
-    # the main and squarefree sweeps read the reduced denominators (and the
-    # squarefree one its valuations from B_0 = 1); under a corrupted entry,
-    # odd and B_0 ones included, they must list the failures that the built
-    # polynomial, its lcm and frac_sum give case by case
+    # the main and squarefree sweeps read the polynomial's content off the
+    # reduced Bernoulli numbers; under a corrupted entry, odd and B_0 ones
+    # included, the content must be the built polynomial's, and the sweeps
+    # must list the failures that the polynomial, its lcm, ord_poly and
+    # frac_sum give case by case
     btable.bernoulli_numbers(60)
     original = btable._BERNOULLI[index]
     btable._BERNOULLI[index] = value
@@ -134,9 +137,13 @@ def test_sweeps_report_a_corrupted_entry_as_the_polynomial_does(index, value):
         squarefree = verify_squarefree(1, 60).failures
         main = verify_correspondence(1, 60).failures
         expected_squarefree, expected_main = [], []
+        contents = []
         for n in range(1, 61):
             f = bernoulli_poly_no_constant(n)
             denom = poly_denominator(f)
+            num = math.gcd(*(c.numerator for c in f.coeffs))
+            assert btable._content_no_constant(n) == (num, denom), n
+            contents.append((num, denom))
             for p in primes_up_to(61):
                 if p <= n + 1 and ord_poly(f, p) not in (0, -1):
                     expected_squarefree.append((n, p, ord_poly(f, p), "-1 or 0"))
@@ -148,8 +155,49 @@ def test_sweeps_report_a_corrupted_entry_as_the_polynomial_does(index, value):
     assert main == expected_main
     if (index, value) == (0, Fraction(2, 3)):
         # at n = 1 the polynomial is (2/3) x, of 2-adic valuation 1, which
-        # only the fallback to the polynomial sees
+        # the lcm alone does not see
         assert squarefree == [(1, 2, 1, "-1 or 0")]
+    if (index, value) == (0, Fraction(4, 9)):
+        # at n = 1 the polynomial is (4/9) x: valuation +2 at 2 and -2 at 3
+        assert contents[0] == (4, 9)
+        assert squarefree[0] == (1, 2, 2, "-1 or 0")
+
+
+# B_0 = 2/3, pinned: the failures the built polynomial gives for n <= 60
+_B0_TWO_THIRDS_SQUAREFREE = [(1, 2, 1, "-1 or 0")]
+_B0_TWO_THIRDS_MAIN = [
+    (1, 3, Fraction(1, 2), 3), (2, 3, Fraction(1), 3), (3, 3, Fraction(1, 2), 6),
+    (4, 3, Fraction(1), 3), (6, 3, Fraction(1), 6), (9, 3, Fraction(1, 2), 30),
+    (10, 3, Fraction(1), 6), (12, 3, Fraction(1), 6), (18, 3, Fraction(1), 30),
+    (27, 3, Fraction(1, 2), 42), (28, 3, Fraction(1), 6), (30, 3, Fraction(1), 6),
+    (36, 3, Fraction(1), 6), (54, 3, Fraction(1), 330),
+]
+
+
+def test_brute_force_route_never_builds_the_polynomial(monkeypatch, capsys):
+    # the sweeps and the CLI oracle read the content kernel alone, for a sound
+    # table and a corrupted B_0 alike: the polynomial, its lcm and ord_poly
+    # are the tests' reference, not a second path of the program
+    def refuse(*args):
+        raise AssertionError("the brute-force route must not build the polynomial")
+
+    for module in (btable, verify, cli):
+        for name in ("bernoulli_poly_no_constant", "ord_poly", "poly_denominator"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    btable.bernoulli_numbers(300)
+    original = btable._BERNOULLI[0]
+    btable._BERNOULLI[0] = Fraction(2, 3)
+    try:
+        squarefree = verify_squarefree(1, 60).failures
+        main = verify_correspondence(1, 60).failures
+        code = cli.main(["denom", "300", "--method", "both"])
+    finally:
+        btable._BERNOULLI[0] = original
+    assert squarefree == _B0_TWO_THIRDS_SQUAREFREE
+    assert main == _B0_TWO_THIRDS_MAIN
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert code == 0 and result["agree"]
+    assert result["oracle"] == {"primes": [2, 3, 7, 19, 43], "product": 34314}
 
 
 # --- the bound suite ----------------------------------------------------------
@@ -197,6 +245,21 @@ def test_squarefree_sieves_once_per_sweep(monkeypatch):
     assert limits == [61, 61]
     assert whole.cases_total == sum(len(primes_up_to(n + 1)) for n in range(1, 61))
     assert part.cases_total == sum(len(primes_up_to(n + 1)) for n in range(2, 61, 3))
+
+
+def test_zero_polynomial_is_refused_by_the_sweep_and_ord_poly():
+    # B_0 = 0 makes B_1(x) - B_1 the zero polynomial, which has no finite
+    # valuation; the sweep raises as ord_poly on the built polynomial does
+    btable.bernoulli_numbers(5)
+    original = btable._BERNOULLI[0]
+    btable._BERNOULLI[0] = Fraction(0)
+    try:
+        with pytest.raises(ValueError, match="the zero polynomial has no finite valuation"):
+            verify_squarefree(1, 5)
+        with pytest.raises(ValueError, match="the zero polynomial has no finite valuation"):
+            ord_poly(bernoulli_poly_no_constant(1), 2)
+    finally:
+        btable._BERNOULLI[0] = original
 
 
 def test_squarefree_oracle_products():
@@ -251,6 +314,26 @@ def test_fractional_part_sweeps_check_their_primes_once(sweep, p_max, monkeypatc
         calls.clear()
         assert sweep(1, n_hi).passed
         assert calls == primes_up_to(p_max(n_hi))
+
+
+def test_binomial_sweep_reads_the_exact_binomial(monkeypatch):
+    # the running product the sweep advances over k is C(n, k) at every case
+    seen = []
+    real = verify._ord_abs
+
+    def recording(c, p):
+        seen.append((c, p))
+        return real(c, p)
+
+    monkeypatch.setattr(verify, "_ord_abs", recording)
+    assert verify_binomial_valuations(0, 40).passed
+    expected = [
+        (math.comb(n, k), p)
+        for n in range(41)
+        for k in range(n + 1)
+        for p in verify.VALUATION_PRIMES
+    ]
+    assert seen == expected
 
 
 @pytest.mark.parametrize(
