@@ -34,15 +34,13 @@ __all__ = [
 
 # Refusal threshold for table extension, the one cap for every caller that
 # builds the table (bernoulli, denom --method oracle|both and the suites); a
-# guard against runaway time and memory, not a silent truncation. A full table
-# to 5000 takes about 24 s (median of three runs, 22.6 to 26.8 s) and 64 MB
-# peak RSS (CPython 3.11.7, one core of a 2-vCPU x86-64 host); growth is
-# roughly cubic in the cap, so 10000 would take minutes.
+# guard against runaway time and memory, not a silent truncation. Growth is
+# roughly cubic in the cap (README gives the measured time at the cap).
 DEFAULT_BERNOULLI_CAP = 5000
 
 # Largest prime sieve denom_formula runs, until an O(sqrt n) route replaces the
-# sieve to (n+1)/2. At this limit (n near 2*10^8) one call takes about 11 s
-# and 370 MB peak RSS on the host above; larger n are refused up front.
+# sieve to (n+1)/2; time and memory grow about linearly with it (README gives
+# the measured cost at the limit), and larger n are refused up front.
 FORMULA_SIEVE_LIMIT = 10**8
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]

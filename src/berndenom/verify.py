@@ -9,6 +9,7 @@ report is the same for every degree of parallelism.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -52,11 +53,9 @@ DEFAULT_K_CAP = 64
 # up to about the cube of this for each listed prime.
 SCAN_MAX_BITS = 8192
 
-# Largest n_max run_suite accepts. `verify all --max-n 1000 --jobs 2` takes
-# about 6.4 s in-program (median of three runs, 5.1 to 6.5 s; CPython 3.11.7,
-# 2-vCPU Intel Xeon x86-64 host), against about 0.50 s at 300 and 2.0 s at
-# 600; the cost grows roughly as n_max^2 to n_max^2.3, five sixths of it in
-# the binom sweep.
+# Largest n_max run_suite accepts, a guard against runaway time; the cost
+# grows roughly as n_max^2 to n_max^2.3, five sixths of it in the binom sweep
+# (README gives the measured times).
 VERIFY_MAX_N = 1000
 
 VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -74,35 +73,12 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-class VerificationReport:
+class VerificationReport(
+    namedtuple("VerificationReport", "suite range_checked cases_total failures elapsed")
+):
     """Outcome of one exhaustive sweep; failures carry inspectable witnesses."""
 
-    __slots__ = ("suite", "range_checked", "cases_total", "failures", "elapsed")
-
-    def __init__(
-        self,
-        suite: str,
-        range_checked: str,
-        cases_total: int,
-        failures: list[tuple] | None = None,
-        elapsed: float = 0.0,
-    ) -> None:
-        self.suite = suite
-        self.range_checked = range_checked
-        self.cases_total = cases_total
-        self.failures = [] if failures is None else failures
-        self.elapsed = elapsed
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
-        return f"VerificationReport({pairs})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
-
-    __hash__ = None
+    __slots__ = ()
 
     @property
     def cases_failed(self) -> int:
@@ -139,6 +115,13 @@ def _sweep(
     )
 
 
+def _checked_primes(limit: int) -> list[int]:
+    primes = primes_up_to(limit)
+    for p in primes:
+        ensure_prime(p)
+    return primes
+
+
 def verify_correspondence(
     n_lo: int, n_hi: int, p_max: int | None = None, *, step: int = 1
 ) -> VerificationReport:
@@ -157,9 +140,7 @@ def verify_correspondence(
     _check_range("main", n_lo, n_hi, step)
     if p_max is None:
         p_max = n_hi + 1
-    primes = primes_up_to(p_max)
-    for p in primes:
-        ensure_prime(p)
+    primes = _checked_primes(p_max)
 
     def check(n, failures):
         denom = _content_no_constant(n)[1]
@@ -181,9 +162,7 @@ def verify_prime_bound(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationRe
     """
     _check_range("bound", n_lo, n_hi, step)
     p_max = 2 * n_hi
-    primes = primes_up_to(p_max)
-    for p in primes:
-        ensure_prime(p)
+    primes = _checked_primes(p_max)
 
     def check(n, failures):
         beyond = primes[bisect_right(primes, prime_search_bound(n)) :]
@@ -283,27 +262,26 @@ def run_suite(suite: str, n_max: int, jobs: int) -> VerificationReport:
     n_lo = _SUITES[suite][1]
     start = time.perf_counter()
     shards = min(jobs, n_max - n_lo + 1, os.cpu_count() or 1)
-    args = ([suite] * shards, range(n_lo, n_lo + shards), [n_max] * shards, [shards] * shards)
+    shard = functools.partial(_suite_shard, suite, n_hi=n_max, step=shards)
     if shards == 1:
-        parts = list(map(_suite_shard, *args))
+        parts = [shard(n_lo)]
     else:
         # imported here, so that a process that never shards skips multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=shards) as pool:
-            parts = list(pool.map(_suite_shard, *args))
+            parts = list(pool.map(shard, range(n_lo, n_lo + shards)))
     # shard 0 swept [n_lo, n_max] with step shards; drop the stride from its
     # text to get the serial one (a step of 1 left none). Each n lies in
     # exactly one shard, and within an n the shard keeps the serial order (for
     # binom: k, then p), so a stable sort on n alone restores the serial list;
     # sorting on (n, p) would not
-    report = VerificationReport(
+    return VerificationReport(
         suite,
         parts[0].range_checked.replace(f" step {shards},", ",", 1),
         sum(r.cases_total for r in parts),
         sorted((f for r in parts for f in r.failures), key=lambda f: f[0]),
+        time.perf_counter() - start,
     )
-    report.elapsed = time.perf_counter() - start
-    return report
 
 
 def is_power_of(n: int, p: int) -> bool:

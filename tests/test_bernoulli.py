@@ -23,6 +23,7 @@ from berndenom.bernoulli import (
     poly_denominator,
     prime_search_bound,
 )
+from berndenom.verify import VerificationReport
 
 # Frozen from an independent computer-algebra run (exact rational polynomials,
 # lcm of coefficient denominators), n = 1..40.
@@ -237,11 +238,18 @@ def test_frozen_records_compare_hash_and_refuse_assignment():
     assert factored != DenominatorFactorization(9, (2, 5), 11)
     assert repr(factored) == "DenominatorFactorization(n=9, primes=(2, 5), product=10)"
     assert pickle.loads(pickle.dumps(factored)) == factored
+    report = VerificationReport("main", "demo", 10, [(4, 2, 1, 1)], 0.5)
+    assert not hasattr(report, "__dict__")
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)
     fields = [(poly, "coeffs"), (factored, "n"), (factored, "primes"), (factored, "product")]
+    names = ("suite", "range_checked", "cases_total", "failures", "elapsed")
+    fields += [(report, name) for name in names]
     for record, name in fields:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     assert poly.coeffs == twin.coeffs and factored.product == 10
+    assert report._fields == names and report.elapsed == 0.5
 
 
 # --- valuations of polynomials -------------------------------------------------

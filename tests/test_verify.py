@@ -32,28 +32,27 @@ from berndenom.verify import (
 
 
 def test_report_counts_derive_from_failures():
-    report = VerificationReport("main", "demo", 10, [(4, 2, 1, 1)])
+    report = VerificationReport("main", "demo", 10, [(4, 2, 1, 1)], 0.0)
     assert report.cases_failed == 1
     assert not report.passed
-    assert VerificationReport("main", "demo", 10).passed
+    clean = VerificationReport("main", "demo", 10, [], 0.0)
+    assert (clean.cases_failed, clean.passed) == (0, True)
+    # no field has a default, so no two reports can share a failure list
+    with pytest.raises(TypeError):
+        VerificationReport("main", "demo", 10)
 
 
 def test_records_survive_a_pickle_round_trip():
     # reports come back from pool workers pickled; failures may hold Fractions
     report = VerificationReport("main", "demo", 10, [(4, 2, Fraction(5, 4), 6)], 0.5)
     back = pickle.loads(pickle.dumps(report))
-    assert back == report and back is not report
+    assert back == report and back is not report and type(back) is type(report)
     assert repr(back) == (
         "VerificationReport(suite='main', range_checked='demo', cases_total=10, "
         "failures=[(4, 2, Fraction(5, 4), 6)], elapsed=0.5)"
     )
     assert (back.cases_failed, back.passed) == (1, False)
-    back.elapsed = 1.5
-    assert back != report
-    # each report without failures gets a list of its own
-    fresh, other = VerificationReport("main", "demo", 10), VerificationReport("bound", "x", 1)
-    assert fresh.failures == other.failures == [] and fresh.failures is not other.failures
-    assert (fresh.cases_failed, fresh.passed, fresh.elapsed) == (0, True, 0.0)
+    assert back != report._replace(elapsed=1.5)
     scan = power_scan(10, [2, 3, 5, 7], 32)
     again = pickle.loads(pickle.dumps(scan))
     assert again == scan and type(again) is type(scan)
