@@ -191,6 +191,22 @@ def _carries(n: int, k: int, p: int) -> int:
     return carries
 
 
+def _carry_rows(limit: int, p: int) -> tuple[list[bytes], list[bytes]]:
+    # rows[c][m][j], for j + c <= m <= limit: the carries when adding j and
+    # m - j - c in base p with carry-in c. The low digits carry out exactly
+    # when j % p + c > m % p; the rest is the count for the high parts m // p
+    # and j // p with that carry-in, an earlier row (prime p assumed)
+    rows = ([b"\x00"], [b""])
+    for m in range(1, limit + 1):
+        q, r = divmod(m, p)
+        high = (rows[0][q], rows[1][q])
+        for c in (0, 1):
+            rows[c].append(
+                bytes((out := j % p + c > r) + high[out][j // p] for j in range(m - c + 1))
+            )
+    return rows
+
+
 def lucas_binom_mod(n: int, k: int, p: int) -> int:
     """C(n, k) mod p as the product of digitwise binomial coefficients.
 
@@ -212,6 +228,21 @@ def _lucas(n: int, k: int, p: int) -> int:
         n //= p
         k //= p
     return result
+
+
+def _lucas_rows(limit: int, p: int) -> list[bytes] | list[list[int]]:
+    # rows[m][j] = C(m, j) mod p for 0 <= j <= m <= limit: the low digits'
+    # binomial mod p times the high parts' entry, an earlier row (prime p
+    # assumed). A residue fits a byte only when p <= 256
+    size = min(p, limit + 1)
+    low = [[comb(a, b) % p for b in range(size)] for a in range(size)]
+    pack = bytes if p <= 256 else list
+    rows = [pack((1,))]
+    for m in range(1, limit + 1):
+        q, r = divmod(m, p)
+        digit, high = low[r], rows[q]
+        rows.append(pack(digit[j % p] * high[j // p] % p for j in range(m + 1)))
+    return rows
 
 
 def witness_k(n: int, p: int) -> int | None:

@@ -18,9 +18,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .arith import (
-    _carries,
+    _carry_rows,
     _legendre,
-    _lucas,
+    _lucas_rows,
     _ord_abs,
     digit_sum,
     ensure_prime,
@@ -54,8 +54,8 @@ DEFAULT_K_CAP = 64
 SCAN_MAX_BITS = 8192
 
 # Largest n_max run_suite accepts, a guard against runaway time; the cost
-# grows roughly as n_max^2 to n_max^2.3, five sixths of it in the binom sweep
-# (README gives the measured times).
+# grows roughly as n_max^2 to n_max^2.4, most of it in the binom sweep
+# (README gives the measured times and shares).
 VERIFY_MAX_N = 1000
 
 VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -206,24 +206,38 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
     factor count of the big integer) and the digitwise product against
     C(n,k) mod p, for p in VALUATION_PRIMES.
 
-    The primes are checked once per sweep, and 0 <= k <= n holds by
-    construction, so the cases call the unchecked kernels. ord_p(m!) comes
-    from a table of Legendre sums for m <= n_hi, built once per sweep, and
-    C(n,k) is a running product over k.
+    The primes are checked, and the tables the cases read are built, once
+    per sweep: ord_p(m!) from Legendre sums for m <= n_hi, and the carry
+    count and Lucas residue of the high parts n // p and k // p from
+    digit-recurrence tables, to which a case adds its low digits' carry and
+    binomial. C(n,k) is a running product over k, whose factors of p are
+    counted at every case.
     """
     _check_range("binom", n_lo, n_hi, step)
     for p in VALUATION_PRIMES:
         ensure_prime(p)
-    tables = [(p, [_legendre(m, p) for m in range(n_hi + 1)]) for p in VALUATION_PRIMES]
+    tables = []
+    for p in VALUATION_PRIMES:
+        fact = [_legendre(m, p) for m in range(n_hi + 1)]
+        tables.append((p, fact, _carry_rows(n_hi // p, p), _lucas_rows(n_hi // p, p)))
 
     def check(n, failures):
+        # per p, what every k reads for this n: its table rows and the low
+        # digit's binomials C(n % p, d) mod p
+        rows = []
+        for p, fact, carry, lucas in tables:
+            q, r = divmod(n, p)
+            low = [math.comb(r, d) % p for d in range(p)]
+            rows.append((p, fact, fact[n], r, (carry[0][q], carry[1][q]), lucas[q], low))
         c = 1
         for k in range(n + 1):
-            for p, fact in tables:
-                v_legendre = fact[n] - fact[k] - fact[n - k]
-                v_carries = _carries(n, k, p)
+            for p, fact, fact_n, r, carry, lucas, low in rows:
+                q, d = divmod(k, p)
+                out = d > r
+                v_legendre = fact_n - fact[k] - fact[n - k]
+                v_carries = out + carry[out][q]
                 v_exact = _ord_abs(c, p)
-                residue = _lucas(n, k, p)
+                residue = low[d] * lucas[q] % p
                 ok = (
                     v_legendre == v_carries == v_exact
                     and residue == c % p

@@ -21,6 +21,7 @@ from berndenom.arith import (
     primes_up_to,
     witness_k,
 )
+from berndenom.verify import VALUATION_PRIMES
 
 
 def _factor_count(m: int, p: int) -> int:
@@ -230,6 +231,41 @@ def test_binomial_kernels_at_large_seeded_inputs():
                 assert carries == _factor_count(c, p)
                 assert residue == c % p
     assert small >= 100 and outcomes == 3
+
+
+def _carries_with_carry_in(a: int, b: int, p: int, carry: int) -> int:
+    # independent oracle: the carries out of each base-p digit when adding a,
+    # b and an initial carry-in
+    carries = 0
+    while a or b or carry:
+        carry = (a % p + b % p + carry) // p
+        carries += carry
+        a //= p
+        b //= p
+    return carries
+
+
+@pytest.mark.parametrize("p", sorted(set(VALUATION_PRIMES) | {17, 97, 331}))
+def test_digit_recurrence_tables_match_the_digit_loops(p):
+    # the binom sweep reads its carry counts and Lucas residues off these
+    # tables; every entry equals the per-case digit loop it replaces
+    carry, lucas = arith._carry_rows(300, p), arith._lucas_rows(300, p)
+    assert len(carry[0]) == len(carry[1]) == len(lucas) == 301
+    for m in range(301):
+        assert len(carry[0][m]) == len(lucas[m]) == m + 1 and len(carry[1][m]) == m
+        for j in range(m + 1):
+            assert carry[0][m][j] == arith._carries(m, j, p)
+            assert lucas[m][j] == arith._lucas(m, j, p)
+        for j in range(m):
+            assert carry[1][m][j] == _carries_with_carry_in(j, m - j - 1, p, 1)
+    # below p every number is one digit: no carries, and C(m, j) mod p itself
+    for limit in (0, 1, p - 1):
+        carry, lucas = arith._carry_rows(limit, p), arith._lucas_rows(limit, p)
+        assert [list(row) for row in carry[0]] == [[0] * (m + 1) for m in range(limit + 1)]
+        assert [list(row) for row in carry[1]] == [[0] * m for m in range(limit + 1)]
+        assert [list(row) for row in lucas] == [
+            [math.comb(m, j) % p for j in range(m + 1)] for m in range(limit + 1)
+        ]
 
 
 def test_binomial_args_validated():

@@ -288,10 +288,14 @@ def test_binomial_sweep_checks_its_primes_once(monkeypatch):
         assert verify_binomial_valuations(0, n_hi).passed
         assert calls == list(verify.VALUATION_PRIMES)
     monkeypatch.undo()
-    # a bad prime is refused before the table, which every case reads, is built
+    # a bad prime is refused before any of the tables, which every case
+    # reads, is built
     table_calls = []
     monkeypatch.setattr(verify, "VALUATION_PRIMES", (2, 4))
-    monkeypatch.setattr(verify, "_legendre", lambda *args: table_calls.append(args))
+    for builder in ("_legendre", "_carry_rows", "_lucas_rows"):
+        monkeypatch.setattr(
+            verify, builder, lambda *args, name=builder: table_calls.append((name, args))
+        )
     with pytest.raises(ValueError) as info:
         verify_binomial_valuations(0, 12)
     assert str(info.value) == "p must be prime, got 4"
@@ -335,22 +339,50 @@ def test_binomial_sweep_reads_the_exact_binomial(monkeypatch):
     assert seen == expected
 
 
+def _one_more_at(build, at_p, path):
+    # the table builder build, with the table for at_p one more at the entry
+    # that path names: (m, j), or (carry-in, m, j) for the carry table
+    def wrong(limit, p):
+        rows = build(limit, p)
+        if p == at_p:
+            *head, m, j = path
+            table = rows[head[0]] if head else rows
+            row = bytearray(table[m])
+            row[j] += 1
+            table[m] = bytes(row)
+        return rows
+
+    return wrong
+
+
 @pytest.mark.parametrize(
-    "route, off_at",
+    "route, patch",
     [
-        ("_legendre", lambda m, p: m == 7),
-        ("_carries", lambda n, k, p: (n, k, p) == (10, 3, 2)),
-        ("_lucas", lambda n, k, p: (n, k, p) == (10, 3, 3)),
-        ("_ord_abs", lambda c, p: (c, p) == (math.comb(10, 3), 5)),
+        # patch(real) gives the route wrong by one and the case (n, p, k)
+        # that reads the wrong entry
+        ("_legendre", lambda real: (lambda m, p: real(m, p) + (m == 7), (7, 2, 1))),
+        # n = 10, k = 3, p = 2 carries out of its low digit and reads rows[1][5][1]
+        ("_carry_rows", lambda real: (_one_more_at(real, 2, (1, 5, 1)), (10, 2, 3))),
+        # n = 10, k = 3, p = 3 reads rows[3][1]
+        ("_lucas_rows", lambda real: (_one_more_at(real, 3, (3, 1)), (10, 3, 3))),
+        (
+            "_ord_abs",
+            lambda real: (
+                lambda c, p: real(c, p) + ((c, p) == (math.comb(10, 3), 5)),
+                (10, 5, 3),
+            ),
+        ),
     ],
 )
-def test_binomial_sweep_catches_each_route_off_by_one(route, off_at, monkeypatch):
-    # each route the sweep compares, wrong by one at a single input, must
-    # surface as failures; _legendre is wrong at one m of the factorial table
+def test_binomial_sweep_catches_each_route_off_by_one(route, patch, monkeypatch):
+    # each route the sweep compares, wrong by one at a single entry of its
+    # table (or, for the exact count, at a single input), must surface as a
+    # failure of the case that reads it
     assert verify_binomial_valuations(0, 20).passed
-    real = getattr(verify, route)
-    monkeypatch.setattr(verify, route, lambda *args: real(*args) + off_at(*args))
-    assert verify_binomial_valuations(0, 20).failures
+    wrong, case = patch(getattr(verify, route))
+    monkeypatch.setattr(verify, route, wrong)
+    failures = verify_binomial_valuations(0, 20).failures
+    assert case in [(n, p, witness[0]) for n, p, witness, _ in failures]
 
 
 # --- the suite runner ---------------------------------------------------------------
@@ -370,14 +402,15 @@ def test_run_suite_independent_of_jobs(suite, monkeypatch):
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="the workers must inherit the patched _carries",
+    reason="the workers must inherit the patched _legendre",
 )
 def test_sharded_failures_keep_the_serial_order(monkeypatch):
-    # a wrong carry count at k = 1 and k = 2 fails every (n, p) with n >= k,
-    # in the serial order n, then k, then p; a sort on (n, p) would put both
-    # k of one p before the next p and break the equality below
-    real = verify._carries
-    monkeypatch.setattr(verify, "_carries", lambda n, k, p: real(n, k, p) + (k in (1, 2)))
+    # a Legendre table one more at m = 1 and m = 2 fails, for n >= 3 and
+    # every p, the cases with k or n - k in {1, 2}: several k per n, listed in
+    # the serial order n, then k, then p; a sort on (n, p) would put every k
+    # of one p before the next p and break the equality below
+    real = verify._legendre
+    monkeypatch.setattr(verify, "_legendre", lambda m, p: real(m, p) + (m in (1, 2)))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     serial = run_suite("binom", 30, jobs=1)
     sharded = run_suite("binom", 30, jobs=3)
