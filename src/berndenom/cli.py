@@ -21,7 +21,7 @@ import time
 from . import __version__
 from .arith import digit_sum, frac_sum
 from .bernoulli import _content_no_constant, bernoulli_numbers, denom_formula
-from .verify import DEFAULT_K_CAP, SUITE_NAMES, power_scan, run_suite, stewart_bound
+from .verify import DEFAULT_K_CAP, SUITE_NAMES, _run_suites, power_scan, stewart_bound
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
@@ -126,7 +126,7 @@ def _cmd_frac(args) -> tuple[dict, dict, dict, int]:
 def _cmd_verify(args) -> tuple[dict, dict, dict, int]:
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    reports = [run_suite(name, args.max_n, jobs=jobs) for name in names]
+    reports = _run_suites(names, args.max_n, jobs)
     suites = [
         {
             "suite": r.suite,

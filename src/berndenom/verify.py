@@ -4,7 +4,8 @@ Each suite sweeps a finite parameter range, records every failing case with
 its witness values, and can be sharded over processes. A sweep visits
 n = n_lo, n_lo + step, ... up to n_hi; the sharded runner gives each shard one
 residue class of n and rebuilds the serial report from the parts, so the
-report is the same for every degree of parallelism.
+report is the same for every degree of parallelism. The suites of one
+command run their shards on one process pool, opened for that command only.
 """
 
 from __future__ import annotations
@@ -201,51 +202,72 @@ def verify_squarefree(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationRep
     return _sweep("squarefree", n_lo, n_hi, step, "primes p <= n+1", check)
 
 
+def _valuation_moduli(n_hi: int) -> tuple[int, list[int]]:
+    # per p in VALUATION_PRIMES the least power p^e above n_hi, and their
+    # product M (below 2^66 at VERIFY_MAX_N)
+    powers = []
+    for p in VALUATION_PRIMES:
+        power = p
+        while power <= n_hi:
+            power *= p
+        powers.append(power)
+    return math.prod(powers), powers
+
+
 def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationReport:
     """Check ord_p C(n,k) three ways (factorial valuations, carry count, exact
-    factor count of the big integer) and the digitwise product against
-    C(n,k) mod p, for p in VALUATION_PRIMES.
+    factor count of C(n,k)) and the digitwise product against C(n,k) mod p,
+    for p in VALUATION_PRIMES.
 
     The primes are checked, and the tables the cases read are built, once
-    per sweep: ord_p(m!) from Legendre sums for m <= n_hi, and the carry
-    count and Lucas residue of the high parts n // p and k // p from
+    per sweep: ord_p(m!) from Legendre sums for m <= n_hi, the carry count
+    and Lucas residue of the high parts n // p and k // p from
     digit-recurrence tables, to which a case adds its low digits' carry and
-    binomial. C(n,k) is a running product over k, whose factors of p are
-    counted at every case.
+    binomial, and ord_p(x) for 0 < x < p^e, the least power of p above n_hi.
+    C(n,k) is a running product over k, reduced once per (n, k) modulo M,
+    the product of those powers. The exact count and C(n,k) mod p are read
+    off x = C(n,k) mod p^e: a nonzero x has the valuation of C(n,k), and
+    for x = 0 the factors of p are counted on C(n,k) itself.
     """
     _check_range("binom", n_lo, n_hi, step)
     for p in VALUATION_PRIMES:
         ensure_prime(p)
+    modulus, powers = _valuation_moduli(n_hi)
     tables = []
-    for p in VALUATION_PRIMES:
+    for p, power in zip(VALUATION_PRIMES, powers):
         fact = [_legendre(m, p) for m in range(n_hi + 1)]
-        tables.append((p, fact, _carry_rows(n_hi // p, p), _lucas_rows(n_hi // p, p)))
+        exact = bytes([0, *(_ord_abs(x, p) for x in range(1, power))])
+        carry, lucas = _carry_rows(n_hi // p, p), _lucas_rows(n_hi // p, p)
+        tables.append((p, power, exact, fact, carry, lucas))
 
     def check(n, failures):
         # per p, what every k reads for this n: its table rows and the low
         # digit's binomials C(n % p, d) mod p
         rows = []
-        for p, fact, carry, lucas in tables:
+        for p, power, exact, fact, carry, lucas in tables:
             q, r = divmod(n, p)
             low = [math.comb(r, d) % p for d in range(p)]
-            rows.append((p, fact, fact[n], r, (carry[0][q], carry[1][q]), lucas[q], low))
+            carry_q = (carry[0][q], carry[1][q])
+            rows.append((p, power, exact, fact, fact[n], r, carry_q, lucas[q], low))
         c = 1
         for k in range(n + 1):
-            for p, fact, fact_n, r, carry, lucas, low in rows:
+            c_mod = c % modulus
+            for p, power, exact, fact, fact_n, r, carry, lucas, low in rows:
                 q, d = divmod(k, p)
                 out = d > r
                 v_legendre = fact_n - fact[k] - fact[n - k]
                 v_carries = out + carry[out][q]
-                v_exact = _ord_abs(c, p)
+                x = c_mod % power
+                v_exact = exact[x] if x else _ord_abs(c, p)
                 residue = low[d] * lucas[q] % p
                 ok = (
                     v_legendre == v_carries == v_exact
-                    and residue == c % p
+                    and residue == x % p
                     and (residue != 0) == (v_exact == 0)
                 )
                 if not ok:
                     failures.append(
-                        (n, p, (k, v_legendre, v_carries, v_exact), (residue, c % p))
+                        (n, p, (k, v_legendre, v_carries, v_exact), (residue, x % p))
                     )
             c = c * (n - k) // (k + 1)
         return (n + 1) * len(VALUATION_PRIMES)
@@ -258,32 +280,47 @@ def _suite_shard(suite: str, n_lo: int, n_hi: int, step: int) -> VerificationRep
     return globals()[_SUITES[suite][0]](n_lo, n_hi, step=step)
 
 
-def run_suite(suite: str, n_max: int, jobs: int) -> VerificationReport:
-    """Run one named suite over 1..n_max (0..n_max for binom), sharded over
-    up to jobs processes; the report is identical for every jobs value.
-
-    With k shards, shard i sweeps the n congruent to n_lo + i mod k, so every
-    shard gets a like mix of cheap small n and dear large n. At most
-    os.cpu_count() worker processes start, whatever jobs asks for, and n_max
-    above VERIFY_MAX_N is refused before any sweep runs.
-    """
+def _shard_count(suite: str, n_max: int, jobs: int) -> int:
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if not 1 <= n_max <= VERIFY_MAX_N:
         raise ValueError(f"n_max must be in [1, {VERIFY_MAX_N}], got {n_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, n_max - _SUITES[suite][1] + 1, os.cpu_count() or 1)
+
+
+def _process_pool(workers: int):
+    # imported here, so that a process that never shards skips multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def run_suite(suite: str, n_max: int, jobs: int, *, pool=None) -> VerificationReport:
+    """Run one named suite over 1..n_max (0..n_max for binom), sharded over
+    up to jobs processes; the report is identical for every jobs value.
+
+    With k shards, shard i sweeps the n congruent to n_lo + i mod k, so every
+    shard gets a like mix of cheap small n and dear large n. At most
+    os.cpu_count() worker processes start, whatever jobs asks for, and n_max
+    above VERIFY_MAX_N is refused before any sweep runs. The shards run on
+    pool, an open process pool with at least k workers that is left open,
+    when one is given, and otherwise on a pool of k workers opened for this
+    call.
+    """
+    shards = _shard_count(suite, n_max, jobs)
     n_lo = _SUITES[suite][1]
     start = time.perf_counter()
-    shards = min(jobs, n_max - n_lo + 1, os.cpu_count() or 1)
     shard = functools.partial(_suite_shard, suite, n_hi=n_max, step=shards)
+    starts = range(n_lo, n_lo + shards)
     if shards == 1:
         parts = [shard(n_lo)]
+    elif pool is not None:
+        parts = list(pool.map(shard, starts))
     else:
-        # imported here, so that a process that never shards skips multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=shards) as pool:
-            parts = list(pool.map(shard, range(n_lo, n_lo + shards)))
+        with _process_pool(shards) as own:
+            parts = list(own.map(shard, starts))
     # shard 0 swept [n_lo, n_max] with step shards; drop the stride from its
     # text to get the serial one (a step of 1 left none). Each n lies in
     # exactly one shard, and within an n the shard keeps the serial order (for
@@ -296,6 +333,19 @@ def run_suite(suite: str, n_max: int, jobs: int) -> VerificationReport:
         sorted((f for r in parts for f in r.failures), key=lambda f: f[0]),
         time.perf_counter() - start,
     )
+
+
+def _run_suites(names, n_max: int, jobs: int) -> list[VerificationReport]:
+    # run_suite for each named suite in turn, after every argument is
+    # checked. The shards of every suite share one pool, opened for this
+    # call only when some suite shards, so its workers keep the Bernoulli
+    # table they grew in one suite for the next; a pool opened per call also
+    # starts its workers from the caller's current state
+    workers = max(_shard_count(suite, n_max, jobs) for suite in names)
+    if workers == 1:
+        return [run_suite(suite, n_max, jobs) for suite in names]
+    with _process_pool(workers) as pool:
+        return [run_suite(suite, n_max, jobs, pool=pool) for suite in names]
 
 
 def is_power_of(n: int, p: int) -> bool:

@@ -34,6 +34,7 @@ GOLDEN = [
     ("verify squarefree --max-n 60 --jobs 1 --format plain", "7e2167d70adecd29f96910ce3bf34d9b54630c34b7003dfe2ea494157b2cdc46", 0),
     ("verify binom --max-n 60 --jobs 1 --format csv", "8879ed591019a15c10873c16b192464a042446f1074f9cb90b3713c82f33f1e0", 0),
     ("verify binom --max-n 60 --jobs 1 --format plain", "d945b8b3888a7b2f48d40cfd49c51be92d8c5e678474b1f71e2941509fd44ebd", 0),
+    ("verify binom --max-n 1000 --jobs 2", "136a8d7e1b919d736a4ed6642cc5e1b161931ac0e1632e0dfd85f927b659dbaf", 0),
     ("scan 10 --primes 2,3,5,7", "4c2235276180c6a1063e444ee5dfe7d0312a9d15aab5743f17d744f618e202d8", 0),
     ("bernoulli --max 12 --format csv", "120801dd492c927e3757cb7593b4f56b1d8db7cb775e6d16476b556d023e28e8", 0),
     ("frac 9 5", "4a11d4a791a8c6d3c4d16c9cc1e61235d68ef4ae5fb5fc6c768f32f22ee804c2", 0),

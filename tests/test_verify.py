@@ -320,23 +320,56 @@ def test_fractional_part_sweeps_check_their_primes_once(sweep, p_max, monkeypatc
 
 
 def test_binomial_sweep_reads_the_exact_binomial(monkeypatch):
-    # the running product the sweep advances over k is C(n, k) at every case
+    # the integer the sweep reduces once per case, modulo the product of its
+    # prime powers, is the running product C(n, k), in the order n, then k
     seen = []
+    real = verify._valuation_moduli
+
+    class Recording(int):
+        # c % modulus calls this first, since its class subclasses int
+        def __rmod__(self, c):
+            seen.append(c)
+            return c % int(self)
+
+    def recording(n_hi):
+        modulus, powers = real(n_hi)
+        return Recording(modulus), powers
+
+    monkeypatch.setattr(verify, "_valuation_moduli", recording)
+    assert verify_binomial_valuations(0, 40).passed
+    assert seen == [math.comb(n, k) for n in range(41) for k in range(n + 1)]
+
+
+def test_binomial_sweep_counts_a_zero_residue_on_the_binomial(monkeypatch):
+    # with each p as its own modulus, the residue x = C(n, k) mod p is 0
+    # exactly when p divides C(n, k); the sweep must then count the factors
+    # of p on C(n, k) itself, and a count wrong there is a failure of its case
+    primes = verify.VALUATION_PRIMES
+    moduli = (math.prod(primes), list(primes))
+    monkeypatch.setattr(verify, "_valuation_moduli", lambda n_hi: moduli)
+    calls = []
     real = verify._ord_abs
 
     def recording(c, p):
-        seen.append((c, p))
+        calls.append((c, p))
         return real(c, p)
 
     monkeypatch.setattr(verify, "_ord_abs", recording)
     assert verify_binomial_valuations(0, 40).passed
-    expected = [
+    # first the table of ord_p(x) for 0 < x < p, then one call per case
+    table = [(x, p) for p in primes for x in range(1, p)]
+    fallback = [
         (math.comb(n, k), p)
         for n in range(41)
         for k in range(n + 1)
-        for p in verify.VALUATION_PRIMES
+        for p in primes
+        if math.comb(n, k) % p == 0
     ]
-    assert seen == expected
+    assert len(fallback) > 1000
+    assert calls == table + fallback
+    monkeypatch.setattr(verify, "_ord_abs", lambda c, p: real(c, p) + ((c, p) == (210, 5)))
+    failures = verify_binomial_valuations(0, 20).failures
+    assert (10, 5, (4, 1, 1, 2), (0, 0)) in failures
 
 
 def _one_more_at(build, at_p, path):
@@ -365,19 +398,15 @@ def _one_more_at(build, at_p, path):
         ("_carry_rows", lambda real: (_one_more_at(real, 2, (1, 5, 1)), (10, 2, 3))),
         # n = 10, k = 3, p = 3 reads rows[3][1]
         ("_lucas_rows", lambda real: (_one_more_at(real, 3, (3, 1)), (10, 3, 3))),
-        (
-            "_ord_abs",
-            lambda real: (
-                lambda c, p: real(c, p) + ((c, p) == (math.comb(10, 3), 5)),
-                (10, 5, 3),
-            ),
-        ),
+        # n = 10, k = 3, p = 5 reads the count for C(10, 3) mod 25 = 20, 25
+        # being the least power of 5 above n_hi = 20
+        ("_ord_abs", lambda real: (lambda c, p: real(c, p) + ((c, p) == (20, 5)), (10, 5, 3))),
     ],
 )
 def test_binomial_sweep_catches_each_route_off_by_one(route, patch, monkeypatch):
     # each route the sweep compares, wrong by one at a single entry of its
-    # table (or, for the exact count, at a single input), must surface as a
-    # failure of the case that reads it
+    # table (for the exact count, at the single input its table is built
+    # from), must surface as a failure of the case that reads it
     assert verify_binomial_valuations(0, 20).passed
     wrong, case = patch(getattr(verify, route))
     monkeypatch.setattr(verify, route, wrong)
@@ -461,7 +490,8 @@ def test_run_suite_validates_arguments():
 
 
 def test_run_suite_refuses_n_max_above_the_cap(monkeypatch):
-    # refused up front: no sweep runs and no pool starts
+    # refused up front: no sweep runs and no pool starts, for one suite or
+    # for the several of one command
     def refuse(*args, **kwargs):
         raise AssertionError("work started for a refused n_max")
 
@@ -471,6 +501,78 @@ def test_run_suite_refuses_n_max_above_the_cap(monkeypatch):
     for suite in verify.SUITE_NAMES:
         with pytest.raises(ValueError, match=str(VERIFY_MAX_N)):
             run_suite(suite, VERIFY_MAX_N + 1, jobs=2)
+    with pytest.raises(ValueError, match=str(VERIFY_MAX_N)):
+        verify._run_suites(verify.SUITE_NAMES, VERIFY_MAX_N + 1, 2)
+
+
+def _count_pools(monkeypatch):
+    # the real pool, with the worker count of each one started recorded
+    real = concurrent.futures.ProcessPoolExecutor
+    started = []
+
+    def counting(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    return started
+
+
+def test_a_verify_command_starts_at_most_one_pool(monkeypatch, capsys):
+    # every suite's shards share one pool; one job, or a refused call,
+    # starts none
+    started = _count_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli.main(["verify", "all", "--max-n", "40", "--jobs", "2"]) == 0
+    assert started == [2]
+    sharded = json.loads(capsys.readouterr().out)["result"]
+    started.clear()
+    assert cli.main(["verify", "all", "--max-n", "40", "--jobs", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == sharded
+    refused = (
+        "verify all --max-n 1001 --jobs 2",
+        "verify all --max-n 0 --jobs 2",
+        "verify all --max-n 40 --jobs 0",
+        "verify nope --max-n 40 --jobs 2",
+    )
+    for call in refused:
+        assert cli.main(call.split()) == 1
+    # every suite is checked before the first one runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran before every suite was checked")
+
+    monkeypatch.setattr(verify, "run_suite", refuse)
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify._run_suites(("main", "nope"), 40, 2)
+    assert started == []
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the workers must inherit the corrupted table",
+)
+def test_no_pool_outlives_its_verify_command(monkeypatch, capsys):
+    # three sharded commands in one process: a pool that outlived the first
+    # would run the second on workers that never saw the corrupted entry, and
+    # the third on workers that never saw it restored
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def run(jobs):
+        code = cli.main(["verify", "main", "--max-n", "60", "--jobs", jobs])
+        return code, json.loads(capsys.readouterr().out)["result"]["suites"][0]["failures"]
+
+    assert run("2") == (0, [])
+    btable.bernoulli_numbers(60)
+    original = btable._BERNOULLI[2]
+    btable._BERNOULLI[2] = Fraction(1, 7)
+    try:
+        corrupted = run("2")
+        serial = run("1")
+    finally:
+        btable._BERNOULLI[2] = original
+    assert corrupted[0] == 2 and corrupted[1]
+    assert corrupted == serial
+    assert run("2") == (0, [])
 
 
 def test_run_suite_clamps_jobs_to_cpu_count(monkeypatch):
