@@ -55,8 +55,8 @@ DEFAULT_K_CAP = 64
 SCAN_MAX_BITS = 8192
 
 # Largest n_max run_suite accepts, a guard against runaway time; the cost
-# grows roughly as n_max^2 to n_max^2.4, most of it in the binom sweep
-# (README gives the measured times and shares).
+# grows roughly as n_max^2, most of it in the binom sweep (README gives the
+# measured times and shares).
 VERIFY_MAX_N = 1000
 
 VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -335,7 +335,7 @@ def run_suite(suite: str, n_max: int, jobs: int, *, pool=None) -> VerificationRe
     )
 
 
-def _run_suites(names, n_max: int, jobs: int) -> list[VerificationReport]:
+def _run_suites(names: tuple[str, ...], n_max: int, jobs: int) -> list[VerificationReport]:
     # run_suite for each named suite in turn, after every argument is
     # checked. The shards of every suite share one pool, opened for this
     # call only when some suite shards, so its workers keep the Bernoulli

@@ -505,8 +505,10 @@ def test_run_suite_refuses_n_max_above_the_cap(monkeypatch):
         verify._run_suites(verify.SUITE_NAMES, VERIFY_MAX_N + 1, 2)
 
 
-def _count_pools(monkeypatch):
-    # the real pool, with the worker count of each one started recorded
+def test_a_verify_command_starts_at_most_one_pool(monkeypatch, capsys):
+    # every suite's shards share one pool; one job, or a refused call,
+    # starts none. The real pool runs, with the worker count of each one
+    # started recorded
     real = concurrent.futures.ProcessPoolExecutor
     started = []
 
@@ -515,13 +517,6 @@ def _count_pools(monkeypatch):
         return real(max_workers=max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
-    return started
-
-
-def test_a_verify_command_starts_at_most_one_pool(monkeypatch, capsys):
-    # every suite's shards share one pool; one job, or a refused call,
-    # starts none
-    started = _count_pools(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert cli.main(["verify", "all", "--max-n", "40", "--jobs", "2"]) == 0
     assert started == [2]
