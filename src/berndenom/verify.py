@@ -18,15 +18,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 
-from .arith import (
-    _carry_rows,
-    _legendre,
-    _lucas_rows,
-    _ord_abs,
-    digit_sum,
-    ensure_prime,
-    primes_up_to,
-)
+from .arith import _legendre, _ord_abs, digit_sum, ensure_prime, primes_up_to
 from .bernoulli import _content_no_constant, prime_search_bound
 
 __all__ = [
@@ -212,6 +204,36 @@ def _valuation_moduli(n_hi: int) -> tuple[int, list[int]]:
             power *= p
         powers.append(power)
     return math.prod(powers), powers
+
+
+def _carry_rows(limit: int, p: int) -> tuple[list[bytes], list[bytes]]:
+    # rows[c][m][j], for j + c <= m <= limit: the carries when adding j and
+    # m - j - c in base p with carry-in c. The low digits carry out exactly
+    # when j % p + c > m % p; the rest is the count for the high parts m // p
+    # and j // p with that carry-in, an earlier row (prime p assumed)
+    rows = ([b"\x00"], [b""])
+    for m in range(1, limit + 1):
+        q, r = divmod(m, p)
+        high = (rows[0][q], rows[1][q])
+        for c in (0, 1):
+            rows[c].append(
+                bytes((out := j % p + c > r) + high[out][j // p] for j in range(m - c + 1))
+            )
+    return rows
+
+
+def _lucas_rows(limit: int, p: int) -> list[bytes]:
+    # rows[m][j] = C(m, j) mod p for 0 <= j <= m <= limit: the low digits'
+    # binomial mod p times the high parts' entry, an earlier row (prime
+    # p <= 256 assumed, so that a residue fits a byte)
+    size = min(p, limit + 1)
+    low = [[math.comb(a, b) % p for b in range(size)] for a in range(size)]
+    rows = [b"\x01"]
+    for m in range(1, limit + 1):
+        q, r = divmod(m, p)
+        digit, high = low[r], rows[q]
+        rows.append(bytes(digit[j % p] * high[j // p] % p for j in range(m + 1)))
+    return rows
 
 
 def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationReport:
@@ -411,7 +433,7 @@ def power_scan(n: int, prime_set, k_cap: int = DEFAULT_K_CAP) -> PowerScanResult
         if not pending:
             break
     capped = bool(pending)
-    threshold = None if capped else max(v for v in found.values() if v is not None)
+    threshold = None if capped else max(found.values())
     return PowerScanResult(n, primes, found, threshold, k_cap, capped)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from berndenom import arith
+from berndenom import arith, verify
 from berndenom.arith import (
     MILLER_RABIN_LIMIT,
     digit_sum,
@@ -21,7 +21,6 @@ from berndenom.arith import (
     primes_up_to,
     witness_k,
 )
-from berndenom.verify import VALUATION_PRIMES
 
 
 def _factor_count(m: int, p: int) -> int:
@@ -217,8 +216,6 @@ def test_binomial_kernels_at_large_seeded_inputs():
                 k = sum(rng.randint(0, d) * p**i for i, d in enumerate(_digits(n, p)))
             carries = kummer_carries(n, k, p)
             residue = lucas_binom_mod(n, k, p)
-            assert arith._carries(n, k, p) == carries
-            assert arith._lucas(n, k, p) == residue
             assert ord_binomial(n, k, p) == carries
             assert (residue != 0) == (carries == 0)
             if 0 < k < n:
@@ -245,22 +242,23 @@ def _carries_with_carry_in(a: int, b: int, p: int, carry: int) -> int:
     return carries
 
 
-@pytest.mark.parametrize("p", sorted(set(VALUATION_PRIMES) | {17, 97, 331}))
+@pytest.mark.parametrize("p", sorted(set(verify.VALUATION_PRIMES) | {17, 97}))
 def test_digit_recurrence_tables_match_the_digit_loops(p):
     # the binom sweep reads its carry counts and Lucas residues off these
-    # tables; every entry equals the per-case digit loop it replaces
-    carry, lucas = arith._carry_rows(300, p), arith._lucas_rows(300, p)
+    # tables; every entry equals the public digit loop, and every row is bytes
+    carry, lucas = verify._carry_rows(300, p), verify._lucas_rows(300, p)
     assert len(carry[0]) == len(carry[1]) == len(lucas) == 301
+    assert all(type(row) is bytes for row in (*carry[0], *carry[1], *lucas))
     for m in range(301):
         assert len(carry[0][m]) == len(lucas[m]) == m + 1 and len(carry[1][m]) == m
         for j in range(m + 1):
-            assert carry[0][m][j] == arith._carries(m, j, p)
-            assert lucas[m][j] == arith._lucas(m, j, p)
+            assert carry[0][m][j] == kummer_carries(m, j, p)
+            assert lucas[m][j] == lucas_binom_mod(m, j, p)
         for j in range(m):
             assert carry[1][m][j] == _carries_with_carry_in(j, m - j - 1, p, 1)
     # below p every number is one digit: no carries, and C(m, j) mod p itself
     for limit in (0, 1, p - 1):
-        carry, lucas = arith._carry_rows(limit, p), arith._lucas_rows(limit, p)
+        carry, lucas = verify._carry_rows(limit, p), verify._lucas_rows(limit, p)
         assert [list(row) for row in carry[0]] == [[0] * (m + 1) for m in range(limit + 1)]
         assert [list(row) for row in carry[1]] == [[0] * m for m in range(limit + 1)]
         assert [list(row) for row in lucas] == [
@@ -292,10 +290,14 @@ def test_binomial_args_validated():
         (ord_factorial, (10, 9), "p must be prime, got 9"),
         (ord_factorial, (-1, 3), "expected a non-negative integer, got -1"),
         (ord_factorial, (-1, 4), "p must be prime, got 4"),
+        (kummer_carries, (10, 11, 4), "need 0 <= k <= n, got k=11, n=10"),
+        (lucas_binom_mod, (10, 11, 4), "need 0 <= k <= n, got k=11, n=10"),
+        (kummer_carries, (10, 3, 4), "p must be prime, got 4"),
+        (lucas_binom_mod, (10, 3, 4), "p must be prime, got 4"),
     ],
 )
 def test_valuations_check_their_inputs(func, args, message):
-    # the binomial checks (n, k) before p, the factorial p before n
+    # the three binomials check (n, k) before p, the factorial p before n
     with pytest.raises(ValueError) as info:
         func(*args)
     assert str(info.value) == message
