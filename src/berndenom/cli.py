@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     stew.add_argument("c", type=float)
 
     for name, command in sub.choices.items():
-        command.add_argument("--format", choices=("json", *_RENDERERS[name]), default="json")
+        command.add_argument("--format", choices=("json", *_COMMANDS[name][1]), default="json")
         command.add_argument(
             "--output", metavar="PATH", help="write the report to PATH instead of stdout"
         )
@@ -171,18 +171,6 @@ def _cmd_stewart(args) -> tuple[dict, dict, dict, int]:
     return {"n": args.n, "c": args.c}, {"value": stewart_bound(args.n, args.c)}, {}, EXIT_OK
 
 
-# command -> handler returning (inputs, result, extra meta, exit code); main
-# wraps them in the record
-_HANDLERS = {
-    "denom": _cmd_denom,
-    "frac": _cmd_frac,
-    "verify": _cmd_verify,
-    "scan": _cmd_scan,
-    "bernoulli": _cmd_bernoulli,
-    "stewart": _cmd_stewart,
-}
-
-
 def _denom_rows(record: dict):
     result, n = record["result"], record["inputs"]["n"]
     yield ["n", "method", "primes", "product", "agree"]
@@ -250,22 +238,24 @@ def _stewart_lines(record: dict):
     yield f"stewart(n={inputs['n']}, c={inputs['c']}) ~ {record['result']['value']!r}"
 
 
-# command -> {format: renderer} for every format besides json, in the order
-# --format lists them; "csv" renderers yield rows, "plain" renderers lines.
-_RENDERERS = {
-    "denom": {"csv": _denom_rows, "plain": _denom_lines},
-    "frac": {"plain": _frac_lines},
-    "verify": {"csv": _verify_rows, "plain": _verify_lines},
-    "scan": {"plain": _scan_lines},
-    "bernoulli": {"csv": _bernoulli_rows},
-    "stewart": {"plain": _stewart_lines},
+# command -> (handler, {format: renderer}). The handler returns (inputs,
+# result, extra meta, exit code), which main wraps in the record; the
+# renderers cover every format besides json, in the order --format lists
+# them: "csv" renderers yield rows, "plain" renderers lines.
+_COMMANDS = {
+    "denom": (_cmd_denom, {"csv": _denom_rows, "plain": _denom_lines}),
+    "frac": (_cmd_frac, {"plain": _frac_lines}),
+    "verify": (_cmd_verify, {"csv": _verify_rows, "plain": _verify_lines}),
+    "scan": (_cmd_scan, {"plain": _scan_lines}),
+    "bernoulli": (_cmd_bernoulli, {"csv": _bernoulli_rows}),
+    "stewart": (_cmd_stewart, {"plain": _stewart_lines}),
 }
 
 
 def _render(record: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(record, indent=2) + "\n"
-    items = _RENDERERS[record["command"]][fmt](record)
+    items = _COMMANDS[record["command"]][1][fmt](record)
     if fmt == "plain":
         return "\n".join(items) + "\n"
     buf = io.StringIO()
@@ -321,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     str_digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        inputs, result, extra_meta, code = _HANDLERS[args.command](args)
+        inputs, result, extra_meta, code = _COMMANDS[args.command][0](args)
         elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
         record = {
             "command": args.command,

@@ -312,13 +312,6 @@ def _shard_count(suite: str, n_max: int, jobs: int) -> int:
     return min(jobs, n_max - _SUITES[suite][1] + 1, os.cpu_count() or 1)
 
 
-def _process_pool(workers: int):
-    # imported here, so that a process that never shards skips multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers)
-
-
 def run_suite(suite: str, n_max: int, jobs: int, *, pool=None) -> VerificationReport:
     """Run one named suite over 1..n_max (0..n_max for binom), sharded over
     up to jobs processes; the report is identical for every jobs value.
@@ -328,21 +321,17 @@ def run_suite(suite: str, n_max: int, jobs: int, *, pool=None) -> VerificationRe
     os.cpu_count() worker processes start, whatever jobs asks for, and n_max
     above VERIFY_MAX_N is refused before any sweep runs. The shards run on
     pool, an open process pool with at least k workers that is left open,
-    when one is given, and otherwise on a pool of k workers opened for this
-    call.
+    when one is given; otherwise a call with more than one shard runs as a
+    one-suite verify command, whose pool of k workers is opened for it.
     """
     shards = _shard_count(suite, n_max, jobs)
+    if shards > 1 and pool is None:
+        return _run_suites((suite,), n_max, jobs)[0]
     n_lo = _SUITES[suite][1]
     start = time.perf_counter()
     shard = functools.partial(_suite_shard, suite, n_hi=n_max, step=shards)
     starts = range(n_lo, n_lo + shards)
-    if shards == 1:
-        parts = [shard(n_lo)]
-    elif pool is not None:
-        parts = list(pool.map(shard, starts))
-    else:
-        with _process_pool(shards) as own:
-            parts = list(own.map(shard, starts))
+    parts = list((pool.map if shards > 1 else map)(shard, starts))
     # shard 0 swept [n_lo, n_max] with step shards; drop the stride from its
     # text to get the serial one (a step of 1 left none). Each n lies in
     # exactly one shard, and within an n the shard keeps the serial order (for
@@ -366,7 +355,10 @@ def _run_suites(names: tuple[str, ...], n_max: int, jobs: int) -> list[Verificat
     workers = max(_shard_count(suite, n_max, jobs) for suite in names)
     if workers == 1:
         return [run_suite(suite, n_max, jobs) for suite in names]
-    with _process_pool(workers) as pool:
+    # imported here, so that a process that never shards skips multiprocessing
+    import concurrent.futures
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return [run_suite(suite, n_max, jobs, pool=pool) for suite in names]
 
 

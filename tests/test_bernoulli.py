@@ -453,3 +453,5 @@ def test_denominator_has_prime_matches_formula():
             assert denominator_has_prime(n, p) == (p in members)
     with pytest.raises(ValueError):
         denominator_has_prime(10, 4)
+    with pytest.raises(ValueError):
+        denominator_has_prime(0, 2)

@@ -227,18 +227,26 @@ def test_verify_refuses_max_n_above_the_cap(capsys):
 
 
 def test_verify_failure_exits_two(capsys):
-    # corrupt the table with a prime inside the swept window (primes <= 5)
+    # corrupt the table with a prime inside the swept window (primes <= 7);
+    # every format reports the failures and exits 2
     btable.bernoulli_number(2)
     original = btable._BERNOULLI[2]
-    btable._BERNOULLI[2] = Fraction(1, 5)
+    btable._BERNOULLI[2] = Fraction(1, 7)
+    call = ("verify", "main", "--max-n", "6", "--jobs", "1", "--format")
     try:
-        code, record = run_json(capsys, "verify", "main", "--max-n", "4", "--jobs", "1")
+        runs = {fmt: run_cli(capsys, *call, fmt) for fmt in ("json", "plain", "csv")}
     finally:
         btable._BERNOULLI[2] = original
-    assert code == 2
+    assert [(code, err) for code, _, err in runs.values()] == [(2, "")] * 3
+    record = json.loads(runs["json"][1])
     assert record["result"]["passed"] is False
     suite = record["result"]["suites"][0]
-    assert suite["cases_failed"] == len(suite["failures"]) > 0
+    assert suite["cases_failed"] == len(suite["failures"]) == 4
+    plain = runs["plain"][1].splitlines()
+    assert plain[0] == "main: 24 cases, 4 failures [FAIL]  (n in [1, 6], primes p <= 7)"
+    assert plain[1] == "  counterexample: [3, 7, '1/2', '14']"
+    assert plain[1:] == [f"  counterexample: {f}" for f in suite["failures"]] + ["FALSIFIED"]
+    assert runs["csv"][1].splitlines()[1] == 'main,"n in [1, 6], primes p <= 7",24,4,fail'
 
 
 def test_verify_csv(capsys):

@@ -222,6 +222,37 @@ def test_prime_bound_spec_cases():
     assert frac_sum(4, 2) == 1
 
 
+def _halve_the_search_bound(monkeypatch):
+    # for n > 1 the sweep then also tests primes below the true bound, some
+    # of which push the fractional-part sum above 1
+    real = verify.prime_search_bound
+    monkeypatch.setattr(verify, "prime_search_bound", lambda n: real(n) // 2 if n > 1 else real(n))
+
+
+def test_prime_bound_sweep_reports_each_failing_prime(monkeypatch):
+    assert verify_prime_bound(1, 12).cases_total == 90
+    _halve_the_search_bound(monkeypatch)
+    report = verify_prime_bound(1, 12)
+    assert (report.cases_total, report.cases_failed) == (103, 8)
+    assert report.failures[0] == (3, 2, Fraction(2), 1)
+    assert (5, 3, Fraction(3, 2), 1) in report.failures
+    assert all(value == frac_sum(n, p) > 1 for n, p, value, _ in report.failures)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the workers must inherit the patched search bound",
+)
+def test_sharded_bound_sweep_reports_the_serial_failures(monkeypatch):
+    _halve_the_search_bound(monkeypatch)
+    serial = verify_prime_bound(1, 12)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    sharded = run_suite("bound", 12, jobs=3)
+    assert serial.failures
+    # every field but the elapsed time
+    assert sharded[:4] == serial[:4]
+
+
 # --- the squarefree suite -------------------------------------------------------
 
 
@@ -495,7 +526,7 @@ def test_run_suite_refuses_n_max_above_the_cap(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started for a refused n_max")
 
-    # run_suite imports the pool from concurrent.futures when it shards
+    # _run_suites imports the pool from concurrent.futures when a suite shards
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(verify, "_suite_shard", refuse)
     for suite in verify.SUITE_NAMES:
