@@ -206,33 +206,53 @@ def _valuation_moduli(n_hi: int) -> tuple[int, list[int]]:
     return math.prod(powers), powers
 
 
+def _carry_row(rows: tuple, m: int, p: int, plus_one: bytes, c: int = 0) -> bytes:
+    # row c of m from the rows of q = m // p: the residue class d of j is row
+    # 0 of q, or, where the low digits carry out (d + c > m % p), row 1 of q
+    # translated by plus_one; one strided slice per class
+    q, r = divmod(m, p)
+    high = (rows[0][q], rows[1][q].translate(plus_one))
+    row = bytearray(m - c + 1)
+    for d in range(p):
+        row[d::p] = high[d + c > r]
+    return bytes(row)
+
+
 def _carry_rows(limit: int, p: int) -> tuple[list[bytes], list[bytes]]:
     # rows[c][m][j], for j + c <= m <= limit: the carries when adding j and
     # m - j - c in base p with carry-in c. The low digits carry out exactly
     # when j % p + c > m % p; the rest is the count for the high parts m // p
     # and j // p with that carry-in, an earlier row (prime p assumed)
+    plus_one = bytes(range(1, 256)) + b"\xff"
     rows = ([b"\x00"], [b""])
     for m in range(1, limit + 1):
-        q, r = divmod(m, p)
-        high = (rows[0][q], rows[1][q])
         for c in (0, 1):
-            rows[c].append(
-                bytes((out := j % p + c > r) + high[out][j // p] for j in range(m - c + 1))
-            )
+            rows[c].append(_carry_row(rows, m, p, plus_one, c))
     return rows
+
+
+def _products_mod(p: int) -> list[bytes]:
+    # translate tables: the one at a maps each byte b to a * b mod p
+    return [(bytes(a * b % p for b in range(p)) * (256 // p + 1))[:256] for a in range(p)]
+
+
+def _lucas_row(rows: list[bytes], m: int, p: int, products: list[bytes]) -> bytes:
+    # row m from the row of m // p: the residue class d of j is that row
+    # times C(m % p, d) mod p, one strided slice per class; past m % p, 0
+    q, r = divmod(m, p)
+    row = bytearray(m + 1)
+    for d in range(r + 1):
+        row[d::p] = rows[q].translate(products[math.comb(r, d) % p])
+    return bytes(row)
 
 
 def _lucas_rows(limit: int, p: int) -> list[bytes]:
     # rows[m][j] = C(m, j) mod p for 0 <= j <= m <= limit: the low digits'
     # binomial mod p times the high parts' entry, an earlier row (prime
     # p <= 256 assumed, so that a residue fits a byte)
-    size = min(p, limit + 1)
-    low = [[math.comb(a, b) % p for b in range(size)] for a in range(size)]
-    rows = [b"\x01"]
+    products, rows = _products_mod(p), [b"\x01"]
     for m in range(1, limit + 1):
-        q, r = divmod(m, p)
-        digit, high = low[r], rows[q]
-        rows.append(bytes(digit[j % p] * high[j // p] % p for j in range(m + 1)))
+        rows.append(_lucas_row(rows, m, p, products))
     return rows
 
 
@@ -242,31 +262,71 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
     for p in VALUATION_PRIMES.
 
     The primes are checked, and the tables the cases read are built, once
-    per sweep: ord_p(m!) from Legendre sums for m <= n_hi, the carry count
-    and Lucas residue of the high parts n // p and k // p from
-    digit-recurrence tables, to which a case adds its low digits' carry and
-    binomial, and ord_p(x) for 0 < x < p^e, the least power of p above n_hi.
-    C(n,k) is a running product over k, reduced once per (n, k) modulo M,
-    the product of those powers. The exact count and C(n,k) mod p are read
-    off x = C(n,k) mod p^e: a nonzero x has the valuation of C(n,k), and
-    for x = 0 the factors of p are counted on C(n,k) itself.
+    per sweep: ord_p(m!) from Legendre sums for m <= n_hi, carry counts and
+    Lucas residues for m <= n_hi // p from digit recurrences, and ord_p(x)
+    for 0 < x < p^e, the least power of p above n_hi. Each (n, p) is decided
+    by whole rows over k = 0..n: the carry and Lucas rows are built from
+    those of n // p by one strided slice per low digit, the exact counts and
+    C(n,k) mod p are read off x = C(n,k) mod p^e, and the Legendre row is
+    compared with the counts as one integer of 16-bit lanes. C(n,k) is a
+    running product over k, reduced once per (n, k) modulo M, the product of
+    those powers. An n where a row disagrees or an x is 0 is checked again
+    one case at a time, which alone records failures; for x = 0 it counts
+    the factors of p on C(n,k) itself.
     """
     _check_range("binom", n_lo, n_hi, step)
     for p in VALUATION_PRIMES:
         ensure_prime(p)
     modulus, powers = _valuation_moduli(n_hi)
+    # one more, saturating at 255, which no count that a code holds reaches
+    plus_one = bytes(range(1, 256)) + b"\xff"
     tables = []
     for p, power in zip(VALUATION_PRIMES, powers):
         fact = [_legendre(m, p) for m in range(n_hi + 1)]
         exact = bytes([0, *(_ord_abs(x, p) for x in range(1, power))])
         carry, lucas = _carry_rows(n_hi // p, p), _lucas_rows(n_hi // p, p)
-        tables.append((p, power, exact, fact, carry, lucas))
+        # code[x] = ord_p(x) p + x % p; 255 where a case must be checked on its
+        # own: x = 0, a count at odds with x % p, or a code above 254
+        code = bytes(
+            min(v * p + x % p, 255) if x and (v == 0) == (x % p > 0) else 255
+            for x, v in enumerate(exact)
+        )
+        split = (bytes(i // p for i in range(256)), bytes(i % p for i in range(256)))
+        # ord_p(m!) for m up from 0 and down from n_hi in 16-bit lanes: exact
+        # while each lies in [0, 2^14), else every n is checked case by case
+        lanes = 0 <= min(fact) and max(fact) < 1 << 14 and [
+            int.from_bytes(b"".join(v.to_bytes(2, "little") for v in f), "little")
+            for f in (fact, fact[::-1])
+        ]
+        tables.append((p, power, exact, fact, carry, lucas, code, split, _products_mod(p), lanes))
 
     def check(n, failures):
+        c, residues = 1, []
+        for k in range(n + 1):
+            residues.append(c % modulus)
+            c = c * (n - k) // (k + 1)
+        mask = (1 << 16 * (n + 1)) - 1
+        ones, wide = mask // 0xFFFF, bytearray(2 * n + 2)
+        for p, power, _, fact, carry, lucas, code, split, products, lanes in tables:
+            codes = bytes([code[x % power] for x in residues])
+            counts = codes.translate(split[0])
+            if not lanes or 255 in codes or counts != _carry_row(carry, n, p, plus_one):
+                return cases(n, failures)
+            # the lanes of the Legendre row and of the counts differ by less
+            # than 2^16, so the two integers are equal only lane by lane
+            wide[::2] = counts
+            legendre = fact[n] * ones - (lanes[0] & mask)
+            legendre -= lanes[1] >> 16 * (n_hi - n) & mask
+            lucas_n = _lucas_row(lucas, n, p, products)
+            if legendre != int.from_bytes(wide, "little") or codes.translate(split[1]) != lucas_n:
+                return cases(n, failures)
+        return (n + 1) * len(VALUATION_PRIMES)
+
+    def cases(n, failures):
         # per p, what every k reads for this n: its table rows and the low
         # digit's binomials C(n % p, d) mod p
         rows = []
-        for p, power, exact, fact, carry, lucas in tables:
+        for p, power, exact, fact, carry, lucas, *_ in tables:
             q, r = divmod(n, p)
             low = [math.comb(r, d) % p for d in range(p)]
             carry_q = (carry[0][q], carry[1][q])

@@ -419,30 +419,123 @@ def _one_more_at(build, at_p, path):
     return wrong
 
 
-@pytest.mark.parametrize(
-    "route, patch",
-    [
-        # patch(real) gives the route wrong by one and the case (n, p, k)
-        # that reads the wrong entry
-        ("_legendre", lambda real: (lambda m, p: real(m, p) + (m == 7), (7, 2, 1))),
-        # n = 10, k = 3, p = 2 carries out of its low digit and reads rows[1][5][1]
-        ("_carry_rows", lambda real: (_one_more_at(real, 2, (1, 5, 1)), (10, 2, 3))),
-        # n = 10, k = 3, p = 3 reads rows[3][1]
-        ("_lucas_rows", lambda real: (_one_more_at(real, 3, (3, 1)), (10, 3, 3))),
-        # n = 10, k = 3, p = 5 reads the count for C(10, 3) mod 25 = 20, 25
-        # being the least power of 5 above n_hi = 20
-        ("_ord_abs", lambda real: (lambda c, p: real(c, p) + ((c, p) == (20, 5)), (10, 5, 3))),
-    ],
-)
+# each route the binom sweep compares, wrong by one: patch(real) gives the
+# route wrong by one at a single entry of its table (for the exact count, at
+# the single input its table is built from) and the case (n, p, k) that reads
+# the wrong entry in a sweep to n_hi = 20
+OFF_BY_ONE = [
+    ("_legendre", lambda real: (lambda m, p: real(m, p) + (m == 7), (7, 2, 1))),
+    # n = 10, k = 3, p = 2 carries out of its low digit and reads rows[1][5][1]
+    ("_carry_rows", lambda real: (_one_more_at(real, 2, (1, 5, 1)), (10, 2, 3))),
+    # n = 10, k = 3, p = 3 reads rows[3][1]
+    ("_lucas_rows", lambda real: (_one_more_at(real, 3, (3, 1)), (10, 3, 3))),
+    # n = 10, k = 3, p = 5 reads the count for C(10, 3) mod 25 = 20, 25
+    # being the least power of 5 above n_hi = 20
+    ("_ord_abs", lambda real: (lambda c, p: real(c, p) + ((c, p) == (20, 5)), (10, 5, 3))),
+]
+
+
+@pytest.mark.parametrize("route, patch", OFF_BY_ONE)
 def test_binomial_sweep_catches_each_route_off_by_one(route, patch, monkeypatch):
-    # each route the sweep compares, wrong by one at a single entry of its
-    # table (for the exact count, at the single input its table is built
-    # from), must surface as a failure of the case that reads it
+    # each wrong entry must surface as a failure of the case that reads it
     assert verify_binomial_valuations(0, 20).passed
     wrong, case = patch(getattr(verify, route))
     monkeypatch.setattr(verify, route, wrong)
     failures = verify_binomial_valuations(0, 20).failures
     assert case in [(n, p, witness[0]) for n, p, witness, _ in failures]
+
+
+def reference_binomial_failures(n_lo, n_hi, step=1):
+    """The failures of verify_binomial_valuations(n_lo, n_hi, step=step) as
+    the sweep found them one case (n, k, p) at a time before it compared
+    whole rows: the same tables, read through the module at call time, so
+    that a patched route reaches both."""
+    modulus, powers = verify._valuation_moduli(n_hi)
+    tables = []
+    for p, power in zip(verify.VALUATION_PRIMES, powers):
+        fact = [verify._legendre(m, p) for m in range(n_hi + 1)]
+        exact = bytes([0, *(verify._ord_abs(x, p) for x in range(1, power))])
+        carry, lucas = verify._carry_rows(n_hi // p, p), verify._lucas_rows(n_hi // p, p)
+        tables.append((p, power, exact, fact, carry, lucas))
+    failures = []
+    for n in range(n_lo, n_hi + 1, step):
+        rows = []
+        for p, power, exact, fact, carry, lucas in tables:
+            q, r = divmod(n, p)
+            low = [math.comb(r, d) % p for d in range(p)]
+            carry_q = (carry[0][q], carry[1][q])
+            rows.append((p, power, exact, fact, fact[n], r, carry_q, lucas[q], low))
+        c = 1
+        for k in range(n + 1):
+            c_mod = c % modulus
+            for p, power, exact, fact, fact_n, r, carry, lucas, low in rows:
+                q, d = divmod(k, p)
+                out = d > r
+                v_legendre = fact_n - fact[k] - fact[n - k]
+                v_carries = out + carry[out][q]
+                x = c_mod % power
+                v_exact = exact[x] if x else verify._ord_abs(c, p)
+                residue = low[d] * lucas[q] % p
+                ok = (
+                    v_legendre == v_carries == v_exact
+                    and residue == x % p
+                    and (residue != 0) == (v_exact == 0)
+                )
+                if not ok:
+                    failures.append(
+                        (n, p, (k, v_legendre, v_carries, v_exact), (residue, x % p))
+                    )
+            c = c * (n - k) // (k + 1)
+    return failures
+
+
+@pytest.mark.parametrize(
+    "route, patch", [(None, None), *OFF_BY_ONE], ids=["clean", *(r for r, _ in OFF_BY_ONE)]
+)
+def test_binomial_rows_match_the_case_by_case_sweep(route, patch, monkeypatch):
+    # on clean tables and under each off-by-one route, the row sweep gives
+    # the failure list of the case-by-case reference, serial and strided
+    if route:
+        monkeypatch.setattr(verify, route, patch(getattr(verify, route))[0])
+    assert bool(reference_binomial_failures(0, 120)) == bool(route)
+    for step in (1, 2, 3):
+        for n_lo in range(step):
+            expected = reference_binomial_failures(n_lo, 120, step)
+            assert verify_binomial_valuations(n_lo, 120, step=step).failures == expected
+
+
+@pytest.mark.parametrize("delta", [1, 256, 65536, -1])
+def test_binomial_rows_hide_no_error_between_lanes(delta, monkeypatch):
+    # the Legendre row is compared with the counts as one integer of 16-bit
+    # lanes; an entry ord_p(37!) wrong by delta must fail every case that
+    # reads it, with no carry into, or borrow from, a neighbouring lane
+    # making the integers equal. +65536 takes the entry out of [0, 2^14),
+    # where the lanes are exact, so every n is then checked case by case
+    real = verify._legendre
+    monkeypatch.setattr(verify, "_legendre", lambda m, p: real(m, p) + delta * (m == 37))
+    failures = verify_binomial_valuations(0, 60).failures
+    assert failures == reference_binomial_failures(0, 60)
+    # per p, n > 37 fails at k = 37 and k = n - 37, and n = 37 at 0 < k < 37
+    for p in verify.VALUATION_PRIMES:
+        failing = {(n, witness[0]) for n, q, witness, _ in failures if q == p}
+        reading = {(n, k) for n in range(38, 61) for k in (37, n - 37)}
+        assert failing == reading | {(37, k) for k in range(1, 37)}
+
+
+def test_binomial_sweep_rows_match_the_digit_loops():
+    # the carry and Lucas rows the sweep builds for n from the table rows of
+    # n // p, entry by entry against the public digit loops
+    plus_one = bytes(range(1, 256)) + b"\xff"
+    for p in verify.VALUATION_PRIMES:
+        carry, lucas = verify._carry_rows(150 // p, p), verify._lucas_rows(150 // p, p)
+        products = verify._products_mod(p)
+        for m in range(151):
+            assert list(verify._carry_row(carry, m, p, plus_one)) == [
+                arith.kummer_carries(m, j, p) for j in range(m + 1)
+            ]
+            assert list(verify._lucas_row(lucas, m, p, products)) == [
+                arith.lucas_binom_mod(m, j, p) for j in range(m + 1)
+            ]
 
 
 # --- the suite runner ---------------------------------------------------------------
