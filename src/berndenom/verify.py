@@ -47,8 +47,8 @@ DEFAULT_K_CAP = 64
 SCAN_MAX_BITS = 8192
 
 # Largest n_max run_suite accepts, a guard against runaway time; the cost
-# grows roughly as n_max^2, most of it in the binom sweep (README gives the
-# measured times and shares).
+# grows roughly as n_max^2, the largest share of it in the binom sweep
+# (README gives the measured times and shares).
 VERIFY_MAX_N = 1000
 
 VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)

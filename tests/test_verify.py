@@ -419,10 +419,10 @@ def _one_more_at(build, at_p, path):
     return wrong
 
 
-# each route the binom sweep compares, wrong by one: patch(real) gives the
-# route wrong by one at a single entry of its table (for the exact count, at
-# the single input its table is built from) and the case (n, p, k) that reads
-# the wrong entry in a sweep to n_hi = 20
+# the routes the binom sweep compares: patch(real) gives the route wrong by
+# one at a single entry of its table (for the exact count, at the single
+# input its table is built from) and the case (n, p, k) that reads the wrong
+# entry in a sweep to n_hi = 20
 OFF_BY_ONE = [
     ("_legendre", lambda real: (lambda m, p: real(m, p) + (m == 7), (7, 2, 1))),
     # n = 10, k = 3, p = 2 carries out of its low digit and reads rows[1][5][1]
