@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__
-from .arith import digit_sum, frac_sum
+from .arith import MILLER_RABIN_LIMIT, digit_sum, frac_sum, is_prime
 from .bernoulli import _content_no_constant, bernoulli_numbers, denom_formula
 from .verify import DEFAULT_K_CAP, SUITE_NAMES, _run_suites, power_scan, stewart_bound
 
@@ -88,15 +88,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _factor_squarefree(d: int) -> list[int]:
     # trial division, each prime listed once and divided out fully, so that a
-    # square left by a corrupted table still ends in a reported disagreement
+    # square left by a corrupted table still ends in a reported disagreement.
+    # It stops at the square root of what is left, or once that is a prime
+    # below MILLER_RABIN_LIMIT, so that a large prime left by a corrupted
+    # table costs one primality test; what is left above 1 is prime
     factors = []
     f = 2
-    while d > 1:
+    rest_prime = d < MILLER_RABIN_LIMIT and is_prime(d)
+    while f * f <= d and not rest_prime:
         if d % f == 0:
             factors.append(f)
             while d % f == 0:
                 d //= f
+            rest_prime = d < MILLER_RABIN_LIMIT and is_prime(d)
         f += 1 if f == 2 else 2
+    if d > 1:
+        factors.append(d)
     return factors
 
 

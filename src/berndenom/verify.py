@@ -270,9 +270,10 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
     C(n,k) mod p are read off x = C(n,k) mod p^e, and the Legendre row is
     compared with the counts as one integer of 16-bit lanes. C(n,k) is a
     running product over k, reduced once per (n, k) modulo M, the product of
-    those powers. An n where a row disagrees or an x is 0 is checked again
-    one case at a time, which alone records failures; for x = 0 it counts
-    the factors of p on C(n,k) itself.
+    those powers. A p whose rows all agree passes every case of n. Any other
+    p, one with an x of 0 among them, is a suspect, and only the cases of a
+    suspect p are checked one at a time, off the rows already built; for
+    x = 0 the check counts the factors of p on C(n,k) itself.
     """
     _check_range("binom", n_lo, n_hi, step)
     for p in VALUATION_PRIMES:
@@ -293,7 +294,7 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
         )
         split = (bytes(i // p for i in range(256)), bytes(i % p for i in range(256)))
         # ord_p(m!) for m up from 0 and down from n_hi in 16-bit lanes: exact
-        # while each lies in [0, 2^14), else every n is checked case by case
+        # while each lies in [0, 2^14), else p is a suspect at every n
         lanes = 0 <= min(fact) and max(fact) < 1 << 14 and [
             int.from_bytes(b"".join(v.to_bytes(2, "little") for v in f), "little")
             for f in (fact, fact[::-1])
@@ -307,51 +308,39 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
             c = c * (n - k) // (k + 1)
         mask = (1 << 16 * (n + 1)) - 1
         ones, wide = mask // 0xFFFF, bytearray(2 * n + 2)
-        for p, power, _, fact, carry, lucas, code, split, products, lanes in tables:
+        suspects = []
+        for p, power, exact, fact, carry, lucas, code, split, products, lanes in tables:
             codes = bytes([code[x % power] for x in residues])
-            counts = codes.translate(split[0])
-            if not lanes or 255 in codes or counts != _carry_row(carry, n, p, plus_one):
-                return cases(n, failures)
+            carries = _carry_row(carry, n, p, plus_one)
+            lucas_n = _lucas_row(lucas, n, p, products)
+            wide[::2] = counts = codes.translate(split[0])
             # the lanes of the Legendre row and of the counts differ by less
             # than 2^16, so the two integers are equal only lane by lane
-            wide[::2] = counts
-            legendre = fact[n] * ones - (lanes[0] & mask)
-            legendre -= lanes[1] >> 16 * (n_hi - n) & mask
-            lucas_n = _lucas_row(lucas, n, p, products)
-            if legendre != int.from_bytes(wide, "little") or codes.translate(split[1]) != lucas_n:
-                return cases(n, failures)
-        return (n + 1) * len(VALUATION_PRIMES)
-
-    def cases(n, failures):
-        # per p, what every k reads for this n: its table rows and the low
-        # digit's binomials C(n % p, d) mod p
-        rows = []
-        for p, power, exact, fact, carry, lucas, *_ in tables:
-            q, r = divmod(n, p)
-            low = [math.comb(r, d) % p for d in range(p)]
-            carry_q = (carry[0][q], carry[1][q])
-            rows.append((p, power, exact, fact, fact[n], r, carry_q, lucas[q], low))
-        c = 1
-        for k in range(n + 1):
-            c_mod = c % modulus
-            for p, power, exact, fact, fact_n, r, carry, lucas, low in rows:
-                q, d = divmod(k, p)
-                out = d > r
-                v_legendre = fact_n - fact[k] - fact[n - k]
-                v_carries = out + carry[out][q]
-                x = c_mod % power
-                v_exact = exact[x] if x else _ord_abs(c, p)
-                residue = low[d] * lucas[q] % p
+            if not (
+                lanes
+                and 255 not in codes
+                and counts == carries
+                and codes.translate(split[1]) == lucas_n
+                and fact[n] * ones - (lanes[0] & mask) - (lanes[1] >> 16 * (n_hi - n) & mask)
+                == int.from_bytes(wide, "little")
+            ):
+                suspects.append((p, power, exact, fact, carries, lucas_n))
+        # a suspect p is checked one case at a time, in the order k, then p
+        for k in range(n + 1 if suspects else 0):
+            for p, power, exact, fact, carries, lucas_n in suspects:
+                v_legendre = fact[n] - fact[k] - fact[n - k]
+                x = residues[k] % power
+                v_exact = exact[x] if x else _ord_abs(math.comb(n, k), p)
+                residue = lucas_n[k]
                 ok = (
-                    v_legendre == v_carries == v_exact
+                    v_legendre == carries[k] == v_exact
                     and residue == x % p
                     and (residue != 0) == (v_exact == 0)
                 )
                 if not ok:
                     failures.append(
-                        (n, p, (k, v_legendre, v_carries, v_exact), (residue, x % p))
+                        (n, p, (k, v_legendre, carries[k], v_exact), (residue, x % p))
                     )
-            c = c * (n - k) // (k + 1)
         return (n + 1) * len(VALUATION_PRIMES)
 
     detail = f"0 <= k <= n, p in {list(VALUATION_PRIMES)}"

@@ -118,6 +118,23 @@ def test_denom_reports_a_non_squarefree_oracle_denominator():
     assert result["agree"] is False
 
 
+def test_denom_factors_a_large_prime_left_by_a_corrupted_table(capsys):
+    # B_2 corrupted to 1/(2^61 - 1) leaves that prime in the oracle
+    # denominator; trial division must stop at the square root of what is
+    # left rather than divide up to the prime itself
+    big = 2**61 - 1
+    btable.bernoulli_number(2)
+    original = btable._BERNOULLI[2]
+    btable._BERNOULLI[2] = Fraction(1, big)
+    try:
+        code, record = run_json(capsys, "denom", "3", "--method", "both")
+    finally:
+        btable._BERNOULLI[2] = original
+    assert code == 2
+    assert record["result"]["oracle"] == {"primes": [2, big], "product": 2 * big}
+    assert record["result"]["agree"] is False
+
+
 def test_denom_round_trips(capsys):
     code, record = run_json(capsys, "denom", "13", "--method", "both")
     assert code == 0

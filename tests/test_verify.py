@@ -401,6 +401,7 @@ def test_binomial_sweep_counts_a_zero_residue_on_the_binomial(monkeypatch):
     monkeypatch.setattr(verify, "_ord_abs", lambda c, p: real(c, p) + ((c, p) == (210, 5)))
     failures = verify_binomial_valuations(0, 20).failures
     assert (10, 5, (4, 1, 1, 2), (0, 0)) in failures
+    assert failures == reference_binomial_failures(0, 20)
 
 
 def _one_more_at(build, at_p, path):
@@ -489,15 +490,33 @@ def reference_binomial_failures(n_lo, n_hi, step=1):
     return failures
 
 
-@pytest.mark.parametrize(
-    "route, patch", [(None, None), *OFF_BY_ONE], ids=["clean", *(r for r, _ in OFF_BY_ONE)]
-)
-def test_binomial_rows_match_the_case_by_case_sweep(route, patch, monkeypatch):
-    # on clean tables and under each off-by-one route, the row sweep gives
-    # the failure list of the case-by-case reference, serial and strided
-    if route:
+# the corruptions the row sweep is checked under, by id: none, each route of
+# OFF_BY_ONE alone, and several at once, so that one n has several suspect
+# p and one case is wrong on several routes. With _legendre and _lucas_rows
+# wrong together, n = 10 fails at k = 3 for p = 3 on both; with _carry_rows
+# wrong at rows[1][5][1] for p = 2 and at rows[0][3][1] for p = 3, n = 10
+# fails at k = 3 for both p
+CORRUPTIONS = {
+    "clean": [],
+    **{route: [(route, patch)] for route, patch in OFF_BY_ONE},
+    "_legendre+_lucas_rows": [OFF_BY_ONE[0], OFF_BY_ONE[2]],
+    "_carry_rows_at_2_and_3": [
+        (
+            "_carry_rows",
+            lambda real: (_one_more_at(_one_more_at(real, 2, (1, 5, 1)), 3, (0, 3, 1)), None),
+        )
+    ],
+    "every_route": OFF_BY_ONE,
+}
+
+
+@pytest.mark.parametrize("patches", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_binomial_rows_match_the_case_by_case_sweep(patches, monkeypatch):
+    # on clean tables and under each corruption, the row sweep gives the
+    # failure list of the case-by-case reference, serial and strided
+    for route, patch in patches:
         monkeypatch.setattr(verify, route, patch(getattr(verify, route))[0])
-    assert bool(reference_binomial_failures(0, 120)) == bool(route)
+    assert bool(reference_binomial_failures(0, 120)) == bool(patches)
     for step in (1, 2, 3):
         for n_lo in range(step):
             expected = reference_binomial_failures(n_lo, 120, step)
