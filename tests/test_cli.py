@@ -120,8 +120,8 @@ def test_denom_reports_a_non_squarefree_oracle_denominator():
 
 def test_denom_factors_a_large_prime_left_by_a_corrupted_table(capsys):
     # B_2 corrupted to 1/(2^61 - 1) leaves that prime in the oracle
-    # denominator; trial division must stop at the square root of what is
-    # left rather than divide up to the prime itself
+    # denominator; the factoring must list it at once rather than
+    # trial-divide up to it, or up to its square root
     big = 2**61 - 1
     btable.bernoulli_number(2)
     original = btable._BERNOULLI[2]
