@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import __version__
-from .arith import MILLER_RABIN_LIMIT, digit_sum, frac_sum, is_prime
+from .arith import digit_sum, frac_sum, primes_up_to
 from .bernoulli import _content_no_constant, bernoulli_numbers, denom_formula
 from .verify import DEFAULT_K_CAP, SUITE_NAMES, _run_suites, power_scan, stewart_bound
 
@@ -86,22 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _factor_squarefree(d: int) -> list[int]:
-    # trial division, each prime listed once and divided out fully, so that a
-    # square left by a corrupted table still ends in a reported disagreement.
-    # It stops at the square root of what is left, or once that is a prime
-    # below MILLER_RABIN_LIMIT, so that a large prime left by a corrupted
-    # table costs one primality test; what is left above 1 is prime
-    factors = []
-    f = 2
-    rest_prime = d < MILLER_RABIN_LIMIT and is_prime(d)
-    while f * f <= d and not rest_prime:
-        if d % f == 0:
-            factors.append(f)
-            while d % f == 0:
-                d //= f
-            rest_prime = d < MILLER_RABIN_LIMIT and is_prime(d)
-        f += 1 if f == 2 else 2
+def _factor_squarefree(d: int, n: int) -> list[int]:
+    # the primes up to n + 1 that divide d, each listed once and divided out
+    # fully. A sound table's denominator at n has no other prime, so what is
+    # left above 1 comes from a corrupted table, whose products then
+    # disagree; it is listed as one entry, unfactored, and the work stays
+    # bounded by the sieve to n + 1 whatever the table holds
+    factors = [p for p in primes_up_to(n + 1) if d % p == 0]
+    for p in factors:
+        while d % p == 0:
+            d //= p
     if d > 1:
         factors.append(d)
     return factors
@@ -115,7 +109,7 @@ def _cmd_denom(args) -> tuple[dict, dict, dict, int]:
         result["formula"] = {"primes": list(fact.primes), "product": fact.product}
     if args.method in ("oracle", "both"):
         product = _content_no_constant(args.n)[1]
-        result["oracle"] = {"primes": _factor_squarefree(product), "product": product}
+        result["oracle"] = {"primes": _factor_squarefree(product, args.n), "product": product}
     if args.method == "both":
         agree = result["formula"]["product"] == result["oracle"]["product"]
         result["agree"] = agree

@@ -176,10 +176,10 @@ def verify_squarefree(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationRep
     The minimum valuation at p is ord_p(num) - ord_p(denom), with num/denom
     the polynomial's content (the gcd of its reduced coefficient numerators
     over the lcm of their denominators), so a case fails exactly when p
-    divides num or p^2 divides denom.
+    divides num or p^2 divides denom. The primes are checked once per sweep.
     """
     _check_range("squarefree", n_lo, n_hi, step)
-    primes = primes_up_to(n_hi + 1)
+    primes = _checked_primes(n_hi + 1)
 
     def check(n, failures):
         num, denom = _content_no_constant(n)

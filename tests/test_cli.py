@@ -15,8 +15,8 @@ import pytest
 
 from berndenom import bernoulli as btable
 from berndenom.arith import MILLER_RABIN_LIMIT
-from berndenom.bernoulli import bernoulli_numbers, denom_formula
-from berndenom.cli import build_parser, main
+from berndenom.bernoulli import _content_no_constant, bernoulli_numbers, denom_formula
+from berndenom.cli import _factor_squarefree, build_parser, main
 from berndenom.verify import SCAN_MAX_BITS, VERIFY_MAX_N
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -116,6 +116,35 @@ def test_denom_reports_a_non_squarefree_oracle_denominator():
     assert result["oracle"] == {"primes": [2], "product": 4}
     assert result["formula"] == {"primes": [2], "product": 2}
     assert result["agree"] is False
+
+
+@pytest.mark.parametrize(
+    "denominator",
+    [(2**61 - 1) * (2**31 - 1) ** 2, 143],
+    ids=["beyond_trial_division", "composite"],
+)
+def test_denom_lists_a_cofactor_left_by_a_corrupted_table_unfactored(denominator):
+    # B_2 corrupted to 1/d leaves d, coprime to the primes up to n + 1 = 4, in
+    # the oracle denominator; the factoring lists it as one entry and exits 2
+    # at once, where trial division would not end for the first d. A child
+    # with a timeout turns a hang into a failure
+    script = (
+        "from fractions import Fraction\n"
+        "from berndenom import bernoulli, cli\n"
+        "bernoulli.bernoulli_number(2)\n"
+        f"bernoulli._BERNOULLI[2] = Fraction(1, {denominator})\n"
+        "raise SystemExit(cli.main(['denom', '3', '--method', 'both']))\n"
+    )
+    proc = run_child("-c", script, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    result = json.loads(proc.stdout)["result"]
+    assert result["oracle"] == {"primes": [2, denominator], "product": 2 * denominator}
+    assert result["agree"] is False
+
+
+def test_oracle_primes_are_the_formula_primes_on_the_sound_table():
+    for n in range(1, 601):
+        assert _factor_squarefree(_content_no_constant(n)[1], n) == list(denom_formula(n).primes)
 
 
 def test_denom_factors_a_large_prime_left_by_a_corrupted_table(capsys):

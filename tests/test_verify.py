@@ -335,8 +335,12 @@ def test_binomial_sweep_checks_its_primes_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "sweep, p_max",
-    [(verify_correspondence, lambda n_hi: n_hi + 1), (verify_prime_bound, lambda n_hi: 2 * n_hi)],
-    ids=["main", "bound"],
+    [
+        (verify_correspondence, lambda n_hi: n_hi + 1),
+        (verify_prime_bound, lambda n_hi: 2 * n_hi),
+        (verify_squarefree, lambda n_hi: n_hi + 1),
+    ],
+    ids=["main", "bound", "squarefree"],
 )
 def test_fractional_part_sweeps_check_their_primes_once(sweep, p_max, monkeypatch):
     # one check per sieved prime per sweep call, none per case: the cases
