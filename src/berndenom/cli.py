@@ -21,7 +21,14 @@ import time
 from . import __version__
 from .arith import digit_sum, frac_sum, primes_up_to
 from .bernoulli import _content_no_constant, bernoulli_numbers, denom_formula
-from .verify import DEFAULT_K_CAP, SUITE_NAMES, _run_suites, power_scan, stewart_bound
+from .verify import (
+    DEFAULT_K_CAP,
+    SUITE_NAMES,
+    _SHARD_MIN_N,
+    _run_suites,
+    power_scan,
+    stewart_bound,
+)
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
@@ -62,7 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run exhaustive verification suites")
     verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     verify.add_argument("--max-n", type=int, default=300, dest="max_n")
-    verify.add_argument("--jobs", type=int, default=None, help="parallel shards (default: cpu count)")
+    verify.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="at most this many parallel shards (default: cpu count); a sweep with "
+        f"--max-n below {_SHARD_MIN_N} runs in one process",
+    )
 
     scan = sub.add_parser("scan", help="minimal exponents k with digit_sum(n^k, p) >= p")
     scan.add_argument("n", type=int)

@@ -51,6 +51,14 @@ SCAN_MAX_BITS = 8192
 # (README gives the measured times and shares).
 VERIFY_MAX_N = 1000
 
+# Smallest n_max from which a command's suites shard; below it every suite runs
+# in the calling process, whatever jobs asks for. Two shards have the lower
+# median wall time from here on and one shard below it, as measured for
+# verify all over n_max = 300, 400, ..., 1000 (README gives the table): below
+# it, the pool's start and the Bernoulli table each worker grows cost more
+# than the split saves. At most VERIFY_MAX_N, so that the pool stays reachable.
+_SHARD_MIN_N = 500
+
 VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)
 
 # suite name -> (sweep function name, first n). The sweep is looked up by name
@@ -358,6 +366,8 @@ def _shard_count(suite: str, n_max: int, jobs: int) -> int:
         raise ValueError(f"n_max must be in [1, {VERIFY_MAX_N}], got {n_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if n_max < _SHARD_MIN_N:
+        return 1
     return min(jobs, n_max - _SUITES[suite][1] + 1, os.cpu_count() or 1)
 
 
@@ -365,13 +375,15 @@ def run_suite(suite: str, n_max: int, jobs: int, *, pool=None) -> VerificationRe
     """Run one named suite over 1..n_max (0..n_max for binom), sharded over
     up to jobs processes; the report is identical for every jobs value.
 
-    With k shards, shard i sweeps the n congruent to n_lo + i mod k, so every
-    shard gets a like mix of cheap small n and dear large n. At most
-    os.cpu_count() worker processes start, whatever jobs asks for, and n_max
-    above VERIFY_MAX_N is refused before any sweep runs. The shards run on
-    pool, an open process pool with at least k workers that is left open,
-    when one is given; otherwise a call with more than one shard runs as a
-    one-suite verify command, whose pool of k workers is opened for it.
+    An n_max below _SHARD_MIN_N runs as one shard in this process, since
+    there a pool costs more than it saves. With k shards, shard i sweeps the
+    n congruent to n_lo + i mod k, so every shard gets a like mix of cheap
+    small n and dear large n. At most os.cpu_count() worker processes start,
+    whatever jobs asks for, and n_max above VERIFY_MAX_N is refused before
+    any sweep runs. The shards run on pool, an open process pool with at
+    least k workers that is left open, when one is given; otherwise a call
+    with more than one shard runs as a one-suite verify command, whose pool
+    of k workers is opened for it.
     """
     shards = _shard_count(suite, n_max, jobs)
     if shards > 1 and pool is None:
@@ -398,9 +410,10 @@ def run_suite(suite: str, n_max: int, jobs: int, *, pool=None) -> VerificationRe
 def _run_suites(names: tuple[str, ...], n_max: int, jobs: int) -> list[VerificationReport]:
     # run_suite for each named suite in turn, after every argument is
     # checked. The shards of every suite share one pool, opened for this
-    # call only when some suite shards, so its workers keep the Bernoulli
-    # table they grew in one suite for the next; a pool opened per call also
-    # starts its workers from the caller's current state
+    # call only when some suite shards (never for an n_max below
+    # _SHARD_MIN_N, nor with one job or one CPU), so its workers keep the
+    # Bernoulli table they grew in one suite for the next; a pool opened per
+    # call also starts its workers from the caller's current state
     workers = max(_shard_count(suite, n_max, jobs) for suite in names)
     if workers == 1:
         return [run_suite(suite, n_max, jobs) for suite in names]

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from berndenom import bernoulli as btable
+from berndenom import verify
 from berndenom.arith import MILLER_RABIN_LIMIT
 from berndenom.bernoulli import _content_no_constant, bernoulli_numbers, denom_formula
 from berndenom.cli import _factor_squarefree, build_parser, main
@@ -315,8 +316,10 @@ def test_verify_plain(capsys):
 
 
 def test_verify_jobs_do_not_change_output(capsys, monkeypatch):
-    # three shards on any host, since run_suite clamps jobs to the CPU count
+    # three shards on any host, since run_suite clamps jobs to the CPU count,
+    # and at this n_max, since the shard threshold is lowered to 1
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(verify, "_SHARD_MIN_N", 1)
     outputs = []
     for jobs in ("1", "2", "3"):
         code, record = run_json(capsys, "verify", "all", "--max-n", "60", "--jobs", jobs)
@@ -668,11 +671,13 @@ def test_denom_in_a_fresh_process_loads_no_pool_and_no_dataclasses():
 
 
 def test_sharded_verify_in_a_fresh_process_matches_the_serial_run():
-    # two shards on any host; stderr says whether the pool was loaded
+    # two shards on any host and at this n_max; stderr says whether the pool
+    # was loaded
     script = (
         "import os, sys\n"
-        "from berndenom import cli\n"
+        "from berndenom import cli, verify\n"
         "os.cpu_count = lambda: 2\n"
+        "verify._SHARD_MIN_N = 1\n"
         "code = cli.main(sys.argv[1:])\n"
         "print('concurrent.futures.process' in sys.modules, file=sys.stderr)\n"
         "raise SystemExit(code)\n"
@@ -687,6 +692,31 @@ def test_sharded_verify_in_a_fresh_process_matches_the_serial_run():
         assert record["inputs"].pop("jobs") == int(jobs)
         outputs.append(json.dumps(record, indent=2))
     assert outputs[0] == outputs[1]
+
+
+def test_default_verify_in_a_fresh_process_loads_no_pool():
+    # two jobs on two CPUs at the default n_max, below the shard threshold:
+    # the process loads none of what a pool brings, and its record is that
+    # of one job
+    script = (
+        "import os, sys\n"
+        "from berndenom import cli\n"
+        "os.cpu_count = lambda: 2\n"
+        "code = cli.main(sys.argv[1:])\n"
+        f"print([m for m in {COLD_START_SKIPS!r} if m in sys.modules], file=sys.stderr)\n"
+        "raise SystemExit(code)\n"
+    )
+    assert 300 < verify._SHARD_MIN_N
+    records = []
+    for jobs in ("1", "2"):
+        argv = ("verify", "all", "--max-n", "300", "--jobs", jobs)
+        proc = run_child("-c", script, *argv, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "[]\n")
+        record = json.loads(proc.stdout)
+        record.pop("meta")
+        assert record["inputs"].pop("jobs") == int(jobs)
+        records.append(record)
+    assert records[0] == records[1]
 
 
 def test_subprocess_exit_codes():

@@ -247,6 +247,7 @@ def test_sharded_bound_sweep_reports_the_serial_failures(monkeypatch):
     _halve_the_search_bound(monkeypatch)
     serial = verify_prime_bound(1, 12)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(verify, "_SHARD_MIN_N", 1)
     sharded = run_suite("bound", 12, jobs=3)
     assert serial.failures
     # every field but the elapsed time
@@ -566,8 +567,10 @@ def test_binomial_sweep_rows_match_the_digit_loops():
 
 @pytest.mark.parametrize("suite", ["main", "bound", "squarefree", "binom"])
 def test_run_suite_independent_of_jobs(suite, monkeypatch):
-    # three shards on any host, since run_suite clamps jobs to the CPU count
+    # three shards on any host, since run_suite clamps jobs to the CPU count,
+    # and at this n_max, since the shard threshold is lowered to 1
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(verify, "_SHARD_MIN_N", 1)
     serial = run_suite(suite, 40, jobs=1)
     sharded = run_suite(suite, 40, jobs=3)
     assert serial.cases_total == sharded.cases_total
@@ -588,6 +591,7 @@ def test_sharded_failures_keep_the_serial_order(monkeypatch):
     real = verify._legendre
     monkeypatch.setattr(verify, "_legendre", lambda m, p: real(m, p) + (m in (1, 2)))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(verify, "_SHARD_MIN_N", 1)
     serial = run_suite("binom", 30, jobs=1)
     sharded = run_suite("binom", 30, jobs=3)
     assert serial.failures
@@ -665,6 +669,7 @@ def test_a_verify_command_starts_at_most_one_pool(monkeypatch, capsys):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "_SHARD_MIN_N", 1)
     assert cli.main(["verify", "all", "--max-n", "40", "--jobs", "2"]) == 0
     assert started == [2]
     sharded = json.loads(capsys.readouterr().out)["result"]
@@ -698,6 +703,7 @@ def test_no_pool_outlives_its_verify_command(monkeypatch, capsys):
     # would run the second on workers that never saw the corrupted entry, and
     # the third on workers that never saw it restored
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "_SHARD_MIN_N", 1)
 
     def run(jobs):
         code = cli.main(["verify", "main", "--max-n", "60", "--jobs", jobs])
@@ -723,12 +729,71 @@ def test_run_suite_clamps_jobs_to_cpu_count(monkeypatch):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(verify, "_SHARD_MIN_N", 1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     clamped = run_suite("main", 10, jobs=10**6)
     serial = run_suite("main", 10, jobs=1)
     assert clamped.cases_total == serial.cases_total
     assert clamped.failures == serial.failures
     assert clamped.range_checked == serial.range_checked
+
+
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_suites_shard_only_from_the_threshold(suite, monkeypatch):
+    # the threshold is at most the cap, so the pool stays reachable
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert verify._SHARD_MIN_N <= VERIFY_MAX_N
+    assert verify._shard_count(suite, verify._SHARD_MIN_N - 1, 8) == 1
+    assert verify._shard_count(suite, verify._SHARD_MIN_N, 8) == 2
+
+
+def test_refusals_hold_below_the_shard_threshold(monkeypatch, capsys):
+    # one shard below the threshold, but only after every argument is checked:
+    # a refused call runs no sweep
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep ran for a refused call")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "_suite_shard", refuse)
+    below = verify._SHARD_MIN_N - 1
+    for suite, n_max, jobs in (
+        ("main", below, 0),
+        ("main", 0, 2),
+        ("main", VERIFY_MAX_N + 1, 2),
+        ("nope", below, 2),
+    ):
+        with pytest.raises(ValueError):
+            run_suite(suite, n_max, jobs)
+        with pytest.raises(ValueError):
+            verify._run_suites((suite,), n_max, jobs)
+    refused = (
+        f"verify all --max-n {below} --jobs 0",
+        "verify all --max-n 0 --jobs 2",
+        f"verify all --max-n {VERIFY_MAX_N + 1} --jobs 2",
+        f"verify nope --max-n {below} --jobs 2",
+    )
+    for call in refused:
+        assert cli.main(call.split()) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_a_sweep_at_the_shard_threshold_starts_one_pool(monkeypatch, capsys):
+    # the counting pattern of test_a_verify_command_starts_at_most_one_pool,
+    # with the threshold as it stands: none below it, one of two workers at it
+    real = concurrent.futures.ProcessPoolExecutor
+    started = []
+
+    def counting(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for n_max, pools in ((verify._SHARD_MIN_N - 1, []), (verify._SHARD_MIN_N, [2])):
+        started.clear()
+        assert cli.main(["verify", "bound", "--max-n", str(n_max), "--jobs", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["passed"]
+        assert started == pools
 
 
 # --- power scan -----------------------------------------------------------------------
