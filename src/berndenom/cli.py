@@ -21,14 +21,7 @@ import time
 from . import __version__
 from .arith import digit_sum, frac_sum, primes_up_to
 from .bernoulli import _content_no_constant, bernoulli_numbers, denom_formula
-from .verify import (
-    DEFAULT_K_CAP,
-    SUITE_NAMES,
-    _SHARD_MIN_N,
-    _run_suites,
-    power_scan,
-    stewart_bound,
-)
+from .verify import DEFAULT_K_CAP, SUITE_NAMES, _run_suites, power_scan, stewart_bound
 
 __all__ = ["build_parser", "entrypoint", "main"]
 
@@ -73,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="at most this many parallel shards (default: cpu count); a sweep with "
-        f"--max-n below {_SHARD_MIN_N} runs in one process",
+        help="at most this many parallel shards (default: cpu count); a small "
+        "--max-n runs in one process",
     )
 
     scan = sub.add_parser("scan", help="minimal exponents k with digit_sum(n^k, p) >= p")

@@ -52,11 +52,12 @@ SCAN_MAX_BITS = 8192
 VERIFY_MAX_N = 1000
 
 # Smallest n_max from which a command's suites shard; below it every suite runs
-# in the calling process, whatever jobs asks for. Two shards have the lower
-# median wall time from here on and one shard below it, as measured for
-# verify all over n_max = 300, 400, ..., 1000 (README gives the table): below
-# it, the pool's start and the Bernoulli table each worker grows cost more
-# than the split saves. At most VERIFY_MAX_N, so that the pool stays reachable.
+# in the calling process, whatever jobs asks for. For verify all, two shards
+# have the lower median wall time from here on and one shard below it; for
+# each suite alone, one shard is faster at 300, 400 and 499 too (README gives
+# the tables). Below it, the pool's start costs more than the split saves.
+# Measured with jobs 1 against jobs 2 on 2 CPUs only; more shards were not
+# measured. At most VERIFY_MAX_N, so that the pool stays reachable.
 _SHARD_MIN_N = 500
 
 VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)
