@@ -274,14 +274,14 @@ def _write_output(path: str, text: str) -> None:
     # A regular or new file gets a temp file beside its resolved path, renamed
     # over it with the old file's mode: the target holds its old content or
     # the whole report, never a part of it, and a symlink stays a symlink. A
-    # device, FIFO or other special file is written through, as is. Any
-    # failure is reported against the given path, and the temp file is gone
-    # on every path out.
+    # special file, as path opens it (/dev/stdout on a pipe resolves to no
+    # file), is written through. Any failure is reported against the given
+    # path, and the temp file is gone on every path out.
     target = os.path.realpath(path)
     tmp = None
     try:
         try:
-            mode = os.stat(target).st_mode
+            mode = os.stat(path).st_mode
         except FileNotFoundError:
             mode = None
         if mode is not None and not stat.S_ISREG(mode):

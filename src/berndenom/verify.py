@@ -62,6 +62,9 @@ _SHARD_MIN_N = 500
 
 VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)
 
+# translate table: one more, saturating at 255, which no carry count reaches
+_PLUS_ONE = bytes(range(1, 256)) + b"\xff"
+
 # suite name -> (sweep function name, first n). The sweep is looked up by name
 # at call time, so that a wrapper patched onto this module's attribute (as the
 # benchmark's tracer does) sees every shard.
@@ -124,6 +127,16 @@ def _checked_primes(limit: int) -> list[int]:
     return primes
 
 
+def _correspondence(n: int, primes: list[int], denom: int, failures: list) -> int:
+    # appends the failing (n, p) against denom and returns the case count;
+    # the sum n/(p-1) - ord_p(n!) exceeds 1 exactly when n > (p-1) (ord_p(n!) + 1)
+    for p in primes:
+        v = _legendre(n, p)
+        if (n > (p - 1) * (v + 1)) != (denom % p == 0):
+            failures.append((n, p, Fraction(n, p - 1) - v, denom))
+    return len(primes)
+
+
 def verify_correspondence(
     n_lo: int, n_hi: int, p_max: int | None = None, *, step: int = 1
 ) -> VerificationReport:
@@ -135,9 +148,7 @@ def verify_correspondence(
     denominator has no factor above n, so both sides are false. The sweep up
     to p_max (default n_hi + 1) therefore covers the unrestricted statement.
 
-    The primes are checked once per sweep. The sum is n/(p-1) - ord_p(n!), so
-    it exceeds 1 exactly when n > (p-1) (ord_p(n!) + 1), and a case compares
-    integers; the sum itself is formed only for a failure's witness.
+    The primes are checked once per sweep.
     """
     _check_range("main", n_lo, n_hi, step)
     if p_max is None:
@@ -145,12 +156,7 @@ def verify_correspondence(
     primes = _checked_primes(p_max)
 
     def check(n, failures):
-        denom = _content_no_constant(n)[1]
-        for p in primes:
-            v = _legendre(n, p)
-            if (n > (p - 1) * (v + 1)) != (denom % p == 0):
-                failures.append((n, p, Fraction(n, p - 1) - v, denom))
-        return len(primes)
+        return _correspondence(n, primes, _content_no_constant(n)[1], failures)
 
     return _sweep("main", n_lo, n_hi, step, f"primes p <= {p_max}", check)
 
@@ -159,8 +165,8 @@ def verify_prime_bound(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationRe
     """Check that primes beyond (n+1)/2 (odd n) or (n+1)/3 (even n) never push
     the fractional-part sum above 1, sweeping p up to a ceiling of 2 * n_hi.
 
-    As in verify_correspondence, the primes are checked once per sweep and a
-    case compares integers.
+    It is the correspondence of verify_correspondence against a denominator
+    of 1.
     """
     _check_range("bound", n_lo, n_hi, step)
     p_max = 2 * n_hi
@@ -168,11 +174,7 @@ def verify_prime_bound(n_lo: int, n_hi: int, *, step: int = 1) -> VerificationRe
 
     def check(n, failures):
         beyond = primes[bisect_right(primes, prime_search_bound(n)) :]
-        for p in beyond:
-            v = _legendre(n, p)
-            if n > (p - 1) * (v + 1):
-                failures.append((n, p, Fraction(n, p - 1) - v, 1))
-        return len(beyond)
+        return _correspondence(n, beyond, 1, failures)
 
     detail = f"primes p above (n+1)/2 or (n+1)/3 up to {p_max}"
     return _sweep("bound", n_lo, n_hi, step, detail, check)
@@ -232,11 +234,10 @@ def _carry_rows(limit: int, p: int) -> tuple[list[bytes], list[bytes]]:
     # m - j - c in base p with carry-in c. The low digits carry out exactly
     # when j % p + c > m % p; the rest is the count for the high parts m // p
     # and j // p with that carry-in, an earlier row (prime p assumed)
-    plus_one = bytes(range(1, 256)) + b"\xff"
     rows = ([b"\x00"], [b""])
     for m in range(1, limit + 1):
         for c in (0, 1):
-            rows[c].append(_carry_row(rows, m, p, plus_one, c))
+            rows[c].append(_carry_row(rows, m, p, _PLUS_ONE, c))
     return rows
 
 
@@ -280,27 +281,25 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
     compared with the counts as one integer of 16-bit lanes. C(n,k) is a
     running product over k, reduced once per (n, k) modulo M, the product of
     those powers. A p whose rows all agree passes every case of n. Any other
-    p, one with an x of 0 among them, is a suspect, and only the cases of a
-    suspect p are checked one at a time, off the rows already built; for
-    x = 0 the check counts the factors of p on C(n,k) itself.
+    p is a suspect; only its cases are checked one at a time, off the rows
+    already built, and for x = 0 on C(n,k) itself. No other guard is needed:
+    a wrong route makes p a suspect through another comparison. The code of
+    x is ord_p(x) p + x % p. An x of 0 reads a count of 0, while the sound
+    carry count is at least e there (or the Lucas row differs, if x itself
+    is wrong), and a wrong exact entry disagrees with the carry count. A code
+    is at most e p - 1 (38 at VERIFY_MAX_N); one above 255 would need an
+    exact table of over 10^22 entries.
     """
     _check_range("binom", n_lo, n_hi, step)
     for p in VALUATION_PRIMES:
         ensure_prime(p)
     modulus, powers = _valuation_moduli(n_hi)
-    # one more, saturating at 255, which no count that a code holds reaches
-    plus_one = bytes(range(1, 256)) + b"\xff"
     tables = []
     for p, power in zip(VALUATION_PRIMES, powers):
         fact = [_legendre(m, p) for m in range(n_hi + 1)]
         exact = bytes([0, *(_ord_abs(x, p) for x in range(1, power))])
         carry, lucas = _carry_rows(n_hi // p, p), _lucas_rows(n_hi // p, p)
-        # code[x] = ord_p(x) p + x % p; 255 where a case must be checked on its
-        # own: x = 0, a count at odds with x % p, or a code above 254
-        code = bytes(
-            min(v * p + x % p, 255) if x and (v == 0) == (x % p > 0) else 255
-            for x, v in enumerate(exact)
-        )
+        code = bytes(v * p + x % p for x, v in enumerate(exact))
         split = (bytes(i // p for i in range(256)), bytes(i % p for i in range(256)))
         # ord_p(m!) for m up from 0 and down from n_hi in 16-bit lanes: exact
         # while each lies in [0, 2^14), else p is a suspect at every n
@@ -320,14 +319,13 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
         suspects = []
         for p, power, exact, fact, carry, lucas, code, split, products, lanes in tables:
             codes = bytes([code[x % power] for x in residues])
-            carries = _carry_row(carry, n, p, plus_one)
+            carries = _carry_row(carry, n, p, _PLUS_ONE)
             lucas_n = _lucas_row(lucas, n, p, products)
             wide[::2] = counts = codes.translate(split[0])
             # the lanes of the Legendre row and of the counts differ by less
             # than 2^16, so the two integers are equal only lane by lane
             if not (
                 lanes
-                and 255 not in codes
                 and counts == carries
                 and codes.translate(split[1]) == lucas_n
                 and fact[n] * ones - (lanes[0] & mask) - (lanes[1] >> 16 * (n_hi - n) & mask)

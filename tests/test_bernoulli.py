@@ -1,13 +1,16 @@
 """Tests for exact Bernoulli tables, polynomials, and the two denominator routes."""
 
+import json
 import pickle
 import random
+import sys
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 
 import pytest
 
 from berndenom import bernoulli as btable
+from berndenom import cli
 from berndenom.arith import _ord_abs, digit_sum, frac_sum, primes_up_to
 from berndenom.bernoulli import (
     FORMULA_SIEVE_LIMIT,
@@ -437,6 +440,72 @@ def test_seeded_differential_of_the_three_routes():
         fact = denom_formula(n)
         assert fact.primes == _full_sieve_primes(n, primes), n
         assert poly_denominator(bernoulli_poly_no_constant(n)) == fact.product, n
+
+
+# the formula route's functions, by name: digit sums, Legendre sums and the
+# fractional-part sums, Kummer and Lucas, and von Staudt-Clausen; then the
+# oracle's, the Bernoulli table and its readers. Only the names that exist are
+# looked up, so a function that leaves the package may stay listed
+FORMULA_FUNCTIONS = (
+    "digit_sum", "_legendre", "ord_factorial", "frac_sum", "frac_sum_digit",
+    "frac_sum_direct", "witness_k", "clausen_denominator", "denominator_has_prime",
+    "kummer_carries", "lucas_binom_mod", "ord_binomial", "denom_formula",
+    "prime_search_bound",
+)
+TABLE_FUNCTIONS = (
+    "_extend_bernoulli", "bernoulli_number", "bernoulli_numbers",
+    "bernoulli_poly_no_constant", "_content_no_constant", "poly_denominator", "ord_poly",
+)
+
+
+def _refuse(names):
+    """Make every attribute of the package's modules that holds one of the
+    named functions raise when called; returns the (module, attribute,
+    function) triples to put back."""
+    modules = [m for name, m in sys.modules.items() if name.partition(".")[0] == "berndenom"]
+    functions = [getattr(m, name) for m in modules for name in names if hasattr(m, name)]
+    patched = []
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if any(value is f for f in functions):
+
+                def refused(*args, _where=f"{module.__name__}.{attr}", **kwargs):
+                    raise AssertionError(f"{_where} called")
+
+                setattr(module, attr, refused)
+                patched.append((module, attr, value))
+    return patched
+
+
+def test_the_two_routes_share_no_function(fresh_table, capsys):
+    # the oracle builds its table and reads the content with every function
+    # of the formula route refused, and the formula route runs with the table
+    # and its readers refused; every attribute is put back afterwards
+    oracle = {}
+    patched = _refuse(FORMULA_FUNCTIONS)
+    try:
+        assert {attr for _, attr, _ in patched} >= {"digit_sum", "clausen_denominator"}
+        for n in (1, 2, 3, 10, 101, 700):
+            oracle[n] = btable._content_no_constant(n)[1]
+            assert cli.main(["denom", str(n), "--method", "oracle"]) == 0
+            assert json.loads(capsys.readouterr().out)["result"]["oracle"]["product"] == oracle[n]
+    finally:
+        for module, attr, value in patched:
+            setattr(module, attr, value)
+    assert len(btable._BERNOULLI) == 701
+    expected = {n: oracle[n] for n in (1, 10, 700)}
+    expected[10**6] = prod(_full_sieve_primes(10**6, primes_up_to(10**6)))
+    table = btable._BERNOULLI, btable._ZIGZAG_ROW
+    patched = _refuse(TABLE_FUNCTIONS)
+    btable._BERNOULLI = btable._ZIGZAG_ROW = None
+    try:
+        assert {attr for _, attr, _ in patched} >= {"_extend_bernoulli", "_content_no_constant"}
+        for n, product in expected.items():
+            assert denom_formula(n).product == product, n
+    finally:
+        btable._BERNOULLI, btable._ZIGZAG_ROW = table
+        for module, attr, value in patched:
+            setattr(module, attr, value)
 
 
 def test_prime_search_bound():

@@ -602,6 +602,15 @@ def test_output_writes_into_a_fifo(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [fifo]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_output_to_dev_stdout_on_a_pipe():
+    # with stdout on a pipe, /dev/stdout links to the pipe, which has no file
+    # name; the path is still written through as the special file it opens
+    proc = run_child("-m", "berndenom", "frac", "10", "3", "--output", "/dev/stdout", timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["result"] == {"value": "1", "digit_sum": 2, "gt_one": False}
+
+
 def test_output_onto_a_directory_is_an_error(tmp_path, capsys):
     target = tmp_path / "r.json"
     target.mkdir()

@@ -26,6 +26,7 @@ GOLDEN = [
     ("denom 300 --method both --format csv", "081283a0d393bbd1969de1d7c429964ad9b0cbcf01a6bc6b1e1c46e70b285679", 0),
     ("verify all --max-n 300 --jobs 1", "617fb5a87676725988370e2c0264d60d372e055f2261857a5c690c845eb18c50", 0),
     ("verify all --max-n 300 --jobs 2", "57e709025eca85bf18a6b625393805b946a426bf3558bd925e22ce99464121a3", 0),
+    ("verify all --max-n 500 --jobs 2", "81666b1513a5874f08d6cb01f75ca759b64562caf6823979e11ded207d822ba2", 0),
     ("verify main --max-n 60 --jobs 1 --format csv", "c73d590e1a2d1fe3fc4a560b3a3ace7cf18960dcf6ff6e038e8fc2f73b9992c4", 0),
     ("verify main --max-n 60 --jobs 1 --format plain", "c6cdd15f371a4155e492292dd320546b28df8c55f26f7b5db84d1ebefdeb79d6", 0),
     ("verify bound --max-n 60 --jobs 1 --format csv", "ee7a10b896883d0e79ffdda83ee6914507af59534865c0ef71eeffb74c37eae8", 0),
