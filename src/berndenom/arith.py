@@ -155,9 +155,10 @@ def frac_sum_direct(n: int, p: int) -> Fraction:
     return total
 
 
-def _check_binom_args(n: int, k: int) -> None:
+def _check_binom_args(n: int, k: int, p: int) -> None:
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    ensure_prime(p)
 
 
 def ord_binomial(n: int, k: int, p: int) -> int:
@@ -165,8 +166,7 @@ def ord_binomial(n: int, k: int, p: int) -> int:
 
     Runs in O(log n) divisions; never factors the binomial coefficient itself.
     """
-    _check_binom_args(n, k)
-    ensure_prime(p)
+    _check_binom_args(n, k, p)
     return _legendre(n, p) - _legendre(k, p) - _legendre(n - k, p)
 
 
@@ -175,8 +175,7 @@ def kummer_carries(n: int, k: int, p: int) -> int:
 
     Equals ord_binomial(n, k, p).
     """
-    _check_binom_args(n, k)
-    ensure_prime(p)
+    _check_binom_args(n, k, p)
     a, b = k, n - k
     carries = carry = 0
     while a or b or carry:
@@ -192,8 +191,7 @@ def lucas_binom_mod(n: int, k: int, p: int) -> int:
 
     Nonzero exactly when no base-p carry occurs, i.e. kummer_carries is 0.
     """
-    _check_binom_args(n, k)
-    ensure_prime(p)
+    _check_binom_args(n, k, p)
     result = 1
     while n or k:
         nd, kd = n % p, k % p

@@ -61,11 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run exhaustive verification suites")
     verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    verify.add_argument("--max-n", type=int, default=300, dest="max_n")
+    verify.add_argument("--max-n", type=int, default=300)
     verify.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=os.cpu_count() or 1,
         help="at most this many parallel shards (default: cpu count); a small "
         "--max-n runs in one process",
     )
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="minimal exponents k with digit_sum(n^k, p) >= p")
     scan.add_argument("n", type=int)
     scan.add_argument("--primes", required=True, help="comma-separated primes, e.g. 2,3,5,7")
-    scan.add_argument("--k-cap", type=int, default=DEFAULT_K_CAP, dest="k_cap")
+    scan.add_argument("--k-cap", type=int, default=DEFAULT_K_CAP)
 
     bern = sub.add_parser("bernoulli", help="exact Bernoulli numbers B_0..B_N")
     bern.add_argument("--max", type=int, required=True, dest="max_index")
@@ -109,7 +109,6 @@ def _factor_squarefree(d: int, n: int) -> list[int]:
 
 def _cmd_denom(args) -> tuple[dict, dict, dict, int]:
     result: dict = {}
-    code = EXIT_OK
     if args.method in ("formula", "both"):
         fact = denom_formula(args.n)
         result["formula"] = {"primes": list(fact.primes), "product": fact.product}
@@ -117,10 +116,8 @@ def _cmd_denom(args) -> tuple[dict, dict, dict, int]:
         product = _content_no_constant(args.n)[1]
         result["oracle"] = {"primes": _factor_squarefree(product, args.n), "product": product}
     if args.method == "both":
-        agree = result["formula"]["product"] == result["oracle"]["product"]
-        result["agree"] = agree
-        if not agree:
-            code = EXIT_FALSIFIED
+        result["agree"] = result["formula"]["product"] == result["oracle"]["product"]
+    code = EXIT_OK if result.get("agree", True) else EXIT_FALSIFIED
     return {"n": args.n, "method": args.method}, result, {}, code
 
 
@@ -131,9 +128,8 @@ def _cmd_frac(args) -> tuple[dict, dict, dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict, dict, int]:
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    reports = _run_suites(names, args.max_n, jobs)
+    reports = _run_suites(names, args.max_n, args.jobs)
     suites = [
         {
             "suite": r.suite,
@@ -145,7 +141,7 @@ def _cmd_verify(args) -> tuple[dict, dict, dict, int]:
         for r in reports
     ]
     passed = all(r.passed for r in reports)
-    inputs = {"suite": args.suite, "max_n": args.max_n, "jobs": jobs}
+    inputs = {"suite": args.suite, "max_n": args.max_n, "jobs": args.jobs}
     meta = {"suite_elapsed_ms": {r.suite: round(r.elapsed * 1000, 3) for r in reports}}
     code = EXIT_OK if passed else EXIT_FALSIFIED
     return inputs, {"passed": passed, "suites": suites}, meta, code
@@ -309,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.output == "":
+            parser.error("argument --output: expected a non-empty path")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

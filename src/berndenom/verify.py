@@ -42,7 +42,7 @@ DEFAULT_K_CAP = 64
 # Largest bit length a scanned power n^k may have; a scan that reaches a
 # longer power is refused before taking its digit sums, and an n that is
 # longer already before any work. digit_sum is quadratic in the length of its
-# input and a scan takes one per pending prime at each power, so a scan costs
+# input and a scan takes one per open prime at each power, so a scan costs
 # up to about the cube of this for each listed prime.
 SCAN_MAX_BITS = 8192
 
@@ -217,12 +217,12 @@ def _valuation_moduli(n_hi: int) -> tuple[int, list[int]]:
     return math.prod(powers), powers
 
 
-def _carry_row(rows: tuple, m: int, p: int, plus_one: bytes, c: int = 0) -> bytes:
+def _carry_row(rows: tuple, m: int, p: int, c: int = 0) -> bytes:
     # row c of m from the rows of q = m // p: the residue class d of j is row
     # 0 of q, or, where the low digits carry out (d + c > m % p), row 1 of q
-    # translated by plus_one; one strided slice per class
+    # translated by _PLUS_ONE; one strided slice per class
     q, r = divmod(m, p)
-    high = (rows[0][q], rows[1][q].translate(plus_one))
+    high = (rows[0][q], rows[1][q].translate(_PLUS_ONE))
     row = bytearray(m - c + 1)
     for d in range(p):
         row[d::p] = high[d + c > r]
@@ -237,20 +237,22 @@ def _carry_rows(limit: int, p: int) -> tuple[list[bytes], list[bytes]]:
     rows = ([b"\x00"], [b""])
     for m in range(1, limit + 1):
         for c in (0, 1):
-            rows[c].append(_carry_row(rows, m, p, _PLUS_ONE, c))
+            rows[c].append(_carry_row(rows, m, p, c))
     return rows
 
 
+@functools.cache
 def _products_mod(p: int) -> list[bytes]:
-    # translate tables: the one at a maps each byte b to a * b mod p
+    # translate tables, built once per prime and cached: the one at a maps
+    # each byte b to a * b mod p
     return [(bytes(a * b % p for b in range(p)) * (256 // p + 1))[:256] for a in range(p)]
 
 
-def _lucas_row(rows: list[bytes], m: int, p: int, products: list[bytes]) -> bytes:
+def _lucas_row(rows: list[bytes], m: int, p: int) -> bytes:
     # row m from the row of m // p: the residue class d of j is that row
     # times C(m % p, d) mod p, one strided slice per class; past m % p, 0
     q, r = divmod(m, p)
-    row = bytearray(m + 1)
+    products, row = _products_mod(p), bytearray(m + 1)
     for d in range(r + 1):
         row[d::p] = rows[q].translate(products[math.comb(r, d) % p])
     return bytes(row)
@@ -260,9 +262,9 @@ def _lucas_rows(limit: int, p: int) -> list[bytes]:
     # rows[m][j] = C(m, j) mod p for 0 <= j <= m <= limit: the low digits'
     # binomial mod p times the high parts' entry, an earlier row (prime
     # p <= 256 assumed, so that a residue fits a byte)
-    products, rows = _products_mod(p), [b"\x01"]
+    rows = [b"\x01"]
     for m in range(1, limit + 1):
-        rows.append(_lucas_row(rows, m, p, products))
+        rows.append(_lucas_row(rows, m, p))
     return rows
 
 
@@ -307,7 +309,7 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
             int.from_bytes(b"".join(v.to_bytes(2, "little") for v in f), "little")
             for f in (fact, fact[::-1])
         ]
-        tables.append((p, power, exact, fact, carry, lucas, code, split, _products_mod(p), lanes))
+        tables.append((p, power, exact, fact, carry, lucas, code, split, lanes))
 
     def check(n, failures):
         c, residues = 1, []
@@ -317,10 +319,10 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
         mask = (1 << 16 * (n + 1)) - 1
         ones, wide = mask // 0xFFFF, bytearray(2 * n + 2)
         suspects = []
-        for p, power, exact, fact, carry, lucas, code, split, products, lanes in tables:
+        for p, power, exact, fact, carry, lucas, code, split, lanes in tables:
             codes = bytes([code[x % power] for x in residues])
-            carries = _carry_row(carry, n, p, _PLUS_ONE)
-            lucas_n = _lucas_row(lucas, n, p, products)
+            carries = _carry_row(carry, n, p)
+            lucas_n = _lucas_row(lucas, n, p)
             wide[::2] = counts = codes.translate(split[0])
             # the lanes of the Legendre row and of the counts differ by less
             # than 2^16, so the two integers are equal only lane by lane
@@ -469,8 +471,7 @@ def power_scan(n: int, prime_set, k_cap: int = DEFAULT_K_CAP) -> PowerScanResult
                 f"{n} is a power of {p}: every power of {n} has base-{p} "
                 f"digit sum 1, so the scan cannot terminate"
             )
-    found: dict[int, int | None] = {p: None for p in primes}
-    pending = set(primes)
+    found: dict[int, int | None] = dict.fromkeys(primes)
     nk = 1
     for k in range(1, k_cap + 1):
         nk *= n
@@ -479,13 +480,12 @@ def power_scan(n: int, prime_set, k_cap: int = DEFAULT_K_CAP) -> PowerScanResult
                 f"n^{k} has {nk.bit_length()} bits, above the scan limit of "
                 f"{SCAN_MAX_BITS}; lower k_cap"
             )
-        for p in sorted(pending):
-            if digit_sum(nk, p) >= p:
+        for p in primes:
+            if found[p] is None and digit_sum(nk, p) >= p:
                 found[p] = k
-                pending.discard(p)
-        if not pending:
+        if None not in found.values():
             break
-    capped = bool(pending)
+    capped = None in found.values()
     threshold = None if capped else max(found.values())
     return PowerScanResult(n, primes, found, threshold, k_cap, capped)
 

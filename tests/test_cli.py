@@ -330,6 +330,13 @@ def test_verify_jobs_do_not_change_output(capsys, monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_verify_jobs_defaults_to_the_cpu_count(capsys, monkeypatch):
+    for cpus, jobs in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, record = run_json(capsys, "verify", "main", "--max-n", "5")
+        assert (code, record["inputs"]["jobs"]) == (0, jobs)
+
+
 # --- scan -------------------------------------------------------------------
 
 
@@ -619,6 +626,19 @@ def test_output_onto_a_directory_is_an_error(tmp_path, capsys):
     assert err == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
     assert sorted(tmp_path.iterdir()) == [target]
     assert list(target.iterdir()) == []
+
+
+def test_empty_output_path_is_refused_before_anything_is_written(tmp_path, capsys, monkeypatch):
+    # an empty path would resolve to the working directory and place a temp
+    # file beside it, in its parent
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    monkeypatch.chdir(sub)
+    code, out, err = run_cli(capsys, "denom", "9", "--output", "")
+    assert (code, out) == (1, "")
+    assert err == "usage error: argument --output: expected a non-empty path\n"
+    assert sorted(tmp_path.iterdir()) == [sub]
+    assert list(sub.iterdir()) == []
 
 
 def test_results_beyond_the_int_str_digit_limit_print_exactly(capsys):

@@ -554,15 +554,13 @@ def test_binomial_rows_hide_no_error_between_lanes(delta, monkeypatch):
 def test_binomial_sweep_rows_match_the_digit_loops():
     # the carry and Lucas rows the sweep builds for n from the table rows of
     # n // p, entry by entry against the public digit loops
-    plus_one = bytes(range(1, 256)) + b"\xff"
     for p in verify.VALUATION_PRIMES:
         carry, lucas = verify._carry_rows(150 // p, p), verify._lucas_rows(150 // p, p)
-        products = verify._products_mod(p)
         for m in range(151):
-            assert list(verify._carry_row(carry, m, p, plus_one)) == [
+            assert list(verify._carry_row(carry, m, p)) == [
                 arith.kummer_carries(m, j, p) for j in range(m + 1)
             ]
-            assert list(verify._lucas_row(lucas, m, p, products)) == [
+            assert list(verify._lucas_row(lucas, m, p)) == [
                 arith.lucas_binom_mod(m, j, p) for j in range(m + 1)
             ]
 
