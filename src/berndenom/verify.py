@@ -46,9 +46,10 @@ DEFAULT_K_CAP = 64
 # up to about the cube of this for each listed prime.
 SCAN_MAX_BITS = 8192
 
-# Largest n_max run_suite accepts, a guard against runaway time; the cost
-# grows roughly as n_max^2, the largest share of it in the binom sweep
-# (README gives the measured times and shares).
+# Largest n a sweep visits (_check_range), and half the largest sieve
+# (_checked_primes): a guard against runaway time and memory. The cost grows
+# roughly as n_max^2, the largest share of it in the binom sweep (README gives
+# the measured times and shares).
 VERIFY_MAX_N = 1000
 
 # Smallest n_max from which a command's suites shard; below it every suite runs
@@ -94,10 +95,13 @@ class VerificationReport(
         return not self.failures
 
 
-def _check_range(suite: str, n_lo: int, n_hi: int, step: int) -> None:
-    least = _SUITES[suite][1]
-    if n_lo < least or n_lo > n_hi:
-        raise ValueError(f"need {least} <= n_lo <= n_hi, got [{n_lo}, {n_hi}]")
+def _check_range(suite: str, n_lo: int, n_hi: int, step: int = 1) -> None:
+    # the one range rule, for each sweep, shard and command, before any work
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    least, cap = _SUITES[suite][1], VERIFY_MAX_N
+    if not least <= n_lo <= n_hi <= cap:
+        raise ValueError(f"{suite} needs {least} <= n_lo <= max n <= {cap}, got [{n_lo}, {n_hi}]")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
 
@@ -121,6 +125,9 @@ def _sweep(
 
 
 def _checked_primes(limit: int) -> list[int]:
+    # the bound sweep's ceiling, the largest any sweep needs
+    if limit > 2 * VERIFY_MAX_N:
+        raise ValueError(f"p_max must be at most {2 * VERIFY_MAX_N}, got {limit}")
     primes = primes_up_to(limit)
     for p in primes:
         ensure_prime(p)
@@ -275,8 +282,8 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
 
     The primes are checked, and the tables the cases read are built, once
     per sweep: ord_p(m!) from Legendre sums for m <= n_hi, carry counts and
-    Lucas residues for m <= n_hi // p from digit recurrences, and ord_p(x)
-    for 0 < x < p^e, the least power of p above n_hi. Each (n, p) is decided
+    Lucas residues for m <= n_hi // p from digit recurrences, and a code
+    for each x < p^e, the least power of p above n_hi. Each (n, p) is decided
     by whole rows over k = 0..n: the carry and Lucas rows are built from
     those of n // p by one strided slice per low digit, the exact counts and
     C(n,k) mod p are read off x = C(n,k) mod p^e, and the Legendre row is
@@ -288,9 +295,9 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
     a wrong route makes p a suspect through another comparison. The code of
     x is ord_p(x) p + x % p. An x of 0 reads a count of 0, while the sound
     carry count is at least e there (or the Lucas row differs, if x itself
-    is wrong), and a wrong exact entry disagrees with the carry count. A code
-    is at most e p - 1 (38 at VERIFY_MAX_N); one above 255 would need an
-    exact table of over 10^22 entries.
+    is wrong), and a wrong count in a code disagrees with the carry count. A
+    code is at most e p - 1 (38 at VERIFY_MAX_N); one above 255 would need a
+    code table of over 10^22 entries.
     """
     _check_range("binom", n_lo, n_hi, step)
     for p in VALUATION_PRIMES:
@@ -299,9 +306,8 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
     tables = []
     for p, power in zip(VALUATION_PRIMES, powers):
         fact = [_legendre(m, p) for m in range(n_hi + 1)]
-        exact = bytes([0, *(_ord_abs(x, p) for x in range(1, power))])
+        code = bytes([0, *(_ord_abs(x, p) * p + x % p for x in range(1, power))])
         carry, lucas = _carry_rows(n_hi // p, p), _lucas_rows(n_hi // p, p)
-        code = bytes(v * p + x % p for x, v in enumerate(exact))
         split = (bytes(i // p for i in range(256)), bytes(i % p for i in range(256)))
         # ord_p(m!) for m up from 0 and down from n_hi in 16-bit lanes: exact
         # while each lies in [0, 2^14), else p is a suspect at every n
@@ -309,7 +315,7 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
             int.from_bytes(b"".join(v.to_bytes(2, "little") for v in f), "little")
             for f in (fact, fact[::-1])
         ]
-        tables.append((p, power, exact, fact, carry, lucas, code, split, lanes))
+        tables.append((p, power, fact, carry, lucas, code, split, lanes))
 
     def check(n, failures):
         c, residues = 1, []
@@ -319,7 +325,7 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
         mask = (1 << 16 * (n + 1)) - 1
         ones, wide = mask // 0xFFFF, bytearray(2 * n + 2)
         suspects = []
-        for p, power, exact, fact, carry, lucas, code, split, lanes in tables:
+        for p, power, fact, carry, lucas, code, split, lanes in tables:
             codes = bytes([code[x % power] for x in residues])
             carries = _carry_row(carry, n, p)
             lucas_n = _lucas_row(lucas, n, p)
@@ -333,13 +339,13 @@ def verify_binomial_valuations(n_lo: int, n_hi: int, *, step: int = 1) -> Verifi
                 and fact[n] * ones - (lanes[0] & mask) - (lanes[1] >> 16 * (n_hi - n) & mask)
                 == int.from_bytes(wide, "little")
             ):
-                suspects.append((p, power, exact, fact, carries, lucas_n))
+                suspects.append((p, power, code, fact, carries, lucas_n))
         # a suspect p is checked one case at a time, in the order k, then p
         for k in range(n + 1 if suspects else 0):
-            for p, power, exact, fact, carries, lucas_n in suspects:
+            for p, power, code, fact, carries, lucas_n in suspects:
                 v_legendre = fact[n] - fact[k] - fact[n - k]
                 x = residues[k] % power
-                v_exact = exact[x] if x else _ord_abs(math.comb(n, k), p)
+                v_exact = code[x] // p if x else _ord_abs(math.comb(n, k), p)
                 residue = lucas_n[k]
                 ok = (
                     v_legendre == carries[k] == v_exact
@@ -361,10 +367,7 @@ def _suite_shard(suite: str, n_lo: int, n_hi: int, step: int) -> VerificationRep
 
 
 def _shard_count(suite: str, n_max: int, jobs: int) -> int:
-    if suite not in _SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
-    if not 1 <= n_max <= VERIFY_MAX_N:
-        raise ValueError(f"n_max must be in [1, {VERIFY_MAX_N}], got {n_max}")
+    _check_range(suite, 1, n_max)  # n_max >= 1 for binom too
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if n_max < _SHARD_MIN_N:

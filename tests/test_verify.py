@@ -69,6 +69,9 @@ def test_power_scan_result_fields_are_read_only():
             setattr(scan, name, None)
     with pytest.raises(AttributeError):
         scan.extra = 1
+    # min_k is a dict, so a scan cannot be hashed
+    with pytest.raises(TypeError):
+        hash(scan)
 
 
 # --- the correspondence suite -----------------------------------------------
@@ -657,6 +660,29 @@ def test_run_suite_refuses_n_max_above_the_cap(monkeypatch):
             run_suite(suite, VERIFY_MAX_N + 1, jobs=2)
     with pytest.raises(ValueError, match=str(VERIFY_MAX_N)):
         verify._run_suites(verify.SUITE_NAMES, VERIFY_MAX_N + 1, 2)
+
+
+def test_library_sweeps_refuse_above_the_cap(monkeypatch):
+    # a sweep called directly is bounded as a command is: refused, with the
+    # limit named, before any sieve, table or content kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started for a refused sweep")
+
+    for name in ("primes_up_to", "_legendre", "_carry_rows", "_lucas_rows", "_content_no_constant"):
+        monkeypatch.setattr(verify, name, refuse)
+    for sweep in (
+        verify_correspondence,
+        verify_prime_bound,
+        verify_squarefree,
+        verify_binomial_valuations,
+    ):
+        with pytest.raises(ValueError, match=str(VERIFY_MAX_N)):
+            sweep(1, VERIFY_MAX_N + 1)
+    with pytest.raises(ValueError, match=str(2 * VERIFY_MAX_N)):
+        verify_correspondence(1, 5, p_max=2 * VERIFY_MAX_N + 1)
+    monkeypatch.undo()
+    report = verify_correspondence(1, 5, p_max=2 * VERIFY_MAX_N)
+    assert report.passed and report.cases_total == 5 * len(primes_up_to(2 * VERIFY_MAX_N))
 
 
 def test_a_verify_command_starts_at_most_one_pool(monkeypatch, capsys):
